@@ -149,7 +149,7 @@ func BenchmarkMixSlot(b *testing.B) {
 	aggs := awl.Slot(0, arnd)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.RunMixSlot(0, core.MixQueries{Points: points, Aggregates: aggs}, offers)
+		core.RunMixSlot(0, core.MixQueries{Points: points, Aggregates: aggs}, offers, false)
 	}
 }
 
@@ -183,26 +183,6 @@ func largeFleetSlot(seed int64, n int) ([]query.Query, []core.Offer) {
 	return qs, offers
 }
 
-// BenchmarkParallelCandidateEval compares the serial and sharded
-// candidate scans of Algorithm 1 on large fleets; the selections are
-// bit-identical (see TestGreedyParallelMatchesSerial), only wall time
-// differs.
-func BenchmarkParallelCandidateEval(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		qs, offers := largeFleetSlot(1, n)
-		b.Run(fmt.Sprintf("serial/sensors=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.GreedySelectWith(qs, offers, core.GreedyConfig{Workers: 1})
-			}
-		})
-		b.Run(fmt.Sprintf("parallel/sensors=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.GreedySelectWith(qs, offers, core.GreedyConfig{ParallelThreshold: 1})
-			}
-		})
-	}
-}
-
 // redundantFleetSlot builds one slot of k-redundancy demand on an
 // n-sensor fleet: §2.2.1 multiple-sensor point queries asking for 10
 // redundant readings each, plus a thin stream of plain point queries.
@@ -228,10 +208,10 @@ func redundantFleetSlot(seed int64, n int) ([]query.Query, []core.Offer) {
 	return qs, offers
 }
 
-// BenchmarkLazyCandidateEval compares the candidate-evaluation
-// strategies of Algorithm 1 on large fleets, reporting the valuation
-// calls actually made next to what the exhaustive version-cached scan
-// would make. Selections are bit-identical across strategies (see
+// BenchmarkLazyCandidateEval compares Algorithm 1's lazy selection path
+// with the exhaustive-scan oracle on large fleets, reporting the
+// valuation calls actually made next to what the exhaustive
+// version-cached scan would make. Selections are bit-identical (see
 // TestLazyStrategyLargeFleet); only work differs.
 func BenchmarkLazyCandidateEval(b *testing.B) {
 	for _, wl := range []struct {
@@ -241,21 +221,19 @@ func BenchmarkLazyCandidateEval(b *testing.B) {
 		{"mixed", largeFleetSlot},
 		{"redundant", redundantFleetSlot},
 	} {
-		for _, n := range []int{1000, 10000} {
+		for _, n := range []int{200, 1000, 10000} {
 			qs, offers := wl.gen(1, n)
 			for _, sc := range []struct {
 				name string
-				cfg  core.GreedyConfig
+				sel  func([]query.Query, []core.Offer) *core.MultiResult
 			}{
-				{"serial", core.GreedyConfig{Strategy: core.StrategySerial}},
-				{"sharded", core.GreedyConfig{Strategy: core.StrategySharded, ParallelThreshold: 1}},
-				{"lazy", core.GreedyConfig{Strategy: core.StrategyLazy}},
-				{"lazy-sharded", core.GreedyConfig{Strategy: core.StrategyLazySharded, ParallelThreshold: 1}},
+				{"exhaustive", core.ExhaustiveSelect},
+				{"lazy", core.GreedySelect},
 			} {
 				b.Run(fmt.Sprintf("%s/%s/sensors=%d", wl.name, sc.name, n), func(b *testing.B) {
 					var calls, exhaustive int64
 					for i := 0; i < b.N; i++ {
-						res := core.GreedySelectWith(qs, offers, sc.cfg)
+						res := sc.sel(qs, offers)
 						calls += res.Stats.ValuationCalls
 						exhaustive += res.Stats.SerialEquivCalls
 					}
@@ -267,20 +245,11 @@ func BenchmarkLazyCandidateEval(b *testing.B) {
 	}
 }
 
-// assertBitIdentical requires got to match serial bit-for-bit
-// (core.DiffMultiResults is the canonical comparison).
-func assertBitIdentical(t *testing.T, label string, serial, got *core.MultiResult) {
-	t.Helper()
-	if diff := core.DiffMultiResults(serial, got); diff != "" {
-		t.Fatalf("%s: %s", label, diff)
-	}
-}
-
 // TestLazyStrategyLargeFleet is the acceptance gate of the lazy fast
 // path at 10k sensors:
 //
-//   - on the mixed slot (points + non-submodular aggregates) every lazy
-//     variant must be bit-identical to the serial scan and never make
+//   - on the mixed slot (points + non-submodular aggregates) the lazy
+//     path must be bit-identical to the exhaustive oracle and never make
 //     more valuation calls;
 //   - on the redundancy-heavy slot it must additionally make at least 3x
 //     fewer valuation calls.
@@ -300,18 +269,18 @@ func TestLazyStrategyLargeFleet(t *testing.T) {
 		{"redundant", redundantFleetSlot, 3},
 	} {
 		qs, offers := wl.gen(1, 10000)
-		serial := core.GreedySelectWith(qs, offers, core.GreedyConfig{Strategy: core.StrategySerial})
-		for _, strat := range []core.Strategy{core.StrategyLazy, core.StrategyLazySharded} {
-			lazy := core.GreedySelectWith(qs, offers, core.GreedyConfig{Strategy: strat})
-			assertBitIdentical(t, fmt.Sprintf("%s/%s", wl.name, strat), serial, lazy)
-			ratio := float64(serial.Stats.ValuationCalls) / float64(lazy.Stats.ValuationCalls)
-			t.Logf("%s/%s: %d valuation calls vs serial %d (%.2fx fewer), %d reevals, %d violations, %d rescans",
-				wl.name, strat, lazy.Stats.ValuationCalls, serial.Stats.ValuationCalls, ratio,
-				lazy.Stats.LazyReevaluations, lazy.Stats.SubmodularityViolations, lazy.Stats.FallbackRescans)
-			if ratio < wl.minRatio {
-				t.Errorf("%s/%s: only %.2fx fewer valuation calls, want >= %.0fx",
-					wl.name, strat, ratio, wl.minRatio)
-			}
+		oracle := core.ExhaustiveSelect(qs, offers)
+		lazy := core.GreedySelect(qs, offers)
+		if diff := core.DiffMultiResults(oracle, lazy); diff != "" {
+			t.Fatalf("%s: %s", wl.name, diff)
+		}
+		ratio := float64(oracle.Stats.ValuationCalls) / float64(lazy.Stats.ValuationCalls)
+		t.Logf("%s: %d valuation calls vs exhaustive %d (%.2fx fewer), %d reevals, %d violations, %d rescans",
+			wl.name, lazy.Stats.ValuationCalls, oracle.Stats.ValuationCalls, ratio,
+			lazy.Stats.LazyReevaluations, lazy.Stats.SubmodularityViolations, lazy.Stats.FallbackRescans)
+		if ratio < wl.minRatio {
+			t.Errorf("%s: only %.2fx fewer valuation calls, want >= %.0fx",
+				wl.name, ratio, wl.minRatio)
 		}
 	}
 }

@@ -21,8 +21,8 @@
 // echo; a timeout or broken connection marks the lane unavailable, the
 // slot completes degraded (ps.ErrNodeUnavailable on the lane's resident
 // queries), and the next use of the lane redials and resyncs — the
-// coordinator replays its per-lane oplog (submits, cancels, strategy
-// switches, and every slot's global commit) against a fresh replica,
+// coordinator replays its per-lane oplog (submits, cancels and every
+// slot's global commit) against a fresh replica,
 // bumping the lane epoch so anything a stale node generation answers is
 // fenced off (ps.ErrStaleEpoch). Membership rides on periodic ping frames
 // exchanging TTL'd facts; expired liveness facts turn a node suspect,
@@ -50,9 +50,6 @@ type Config struct {
 	Sensors int
 	// Shards is the grid partition's shard count.
 	Shards int
-	// Strategy optionally names every lane's selection strategy
-	// ("lazy", "serial", ...); empty keeps the sharded default.
-	Strategy string
 	// Nodes maps shard index to the shard node's dial address. An empty
 	// entry keeps that shard in-process; a nil/empty slice is a fully
 	// in-process cluster. When non-empty, len(Nodes) must equal Shards.
@@ -117,19 +114,11 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("cluster: shard count %d out of range", cfg.Shards)
 	}
-	if _, err := ps.ParseStrategy(cfg.Strategy); err != nil {
-		return nil, fmt.Errorf("cluster: %v", err)
-	}
-	base := wire.NodeConfig{World: cfg.World, Seed: cfg.Seed, Sensors: cfg.Sensors, Shards: cfg.Shards, Strategy: cfg.Strategy}
-	world, err := BuildWorld(base)
+	world, err := BuildWorld(wire.NodeConfig{World: cfg.World, Seed: cfg.Seed, Sensors: cfg.Sensors, Shards: cfg.Shards})
 	if err != nil {
 		return nil, err
 	}
-	opts, err := laneOptions(base)
-	if err != nil {
-		return nil, err
-	}
-	sa := ps.NewShardedAggregator(world, cfg.Shards, opts...)
+	sa := ps.NewShardedAggregator(world, cfg.Shards)
 	if len(cfg.Nodes) != 0 && len(cfg.Nodes) != sa.ShardCount() {
 		return nil, fmt.Errorf("cluster: %d node addresses for %d shards", len(cfg.Nodes), sa.ShardCount())
 	}
@@ -192,12 +181,11 @@ func (co *Coordinator) metrics() *clusterMetrics { return co.m.Load() }
 // nodeConfig is the replica recipe pushed to shard k on hello/resync.
 func (co *Coordinator) nodeConfig(shard int) wire.NodeConfig {
 	return wire.NodeConfig{
-		World:    co.cfg.World,
-		Seed:     co.cfg.Seed,
-		Sensors:  co.cfg.Sensors,
-		Shards:   co.sa.ShardCount(),
-		Shard:    shard,
-		Strategy: co.cfg.Strategy,
+		World:   co.cfg.World,
+		Seed:    co.cfg.Seed,
+		Sensors: co.cfg.Sensors,
+		Shards:  co.sa.ShardCount(),
+		Shard:   shard,
 	}
 }
 

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -10,6 +11,7 @@ import (
 	ps "repro"
 	"repro/cluster"
 	"repro/internal/obs"
+	"repro/wire"
 )
 
 // quadrantInner are interior boxes of the four shards of the RWM working
@@ -323,13 +325,50 @@ func TestClusterConfigValidation(t *testing.T) {
 	if _, err := cluster.New(cluster.Config{World: "rwm", Shards: 2}); err == nil {
 		t.Error("rwm world without sensors accepted")
 	}
-	if _, err := cluster.New(cluster.Config{World: "rwm", Sensors: 10, Shards: 2, Strategy: "warp"}); err == nil {
-		t.Error("unknown strategy accepted")
-	}
 	if _, err := cluster.New(cluster.Config{
 		World: "rwm", Sensors: 10, Shards: 1, Nodes: []string{"127.0.0.1:1"},
 		RPCTimeout: 200 * time.Millisecond,
 	}); !errors.Is(err, ps.ErrNodeUnavailable) {
 		t.Errorf("unreachable node at startup: err = %v, want ps.ErrNodeUnavailable", err)
+	}
+}
+
+// TestNodeRejectsRetiredStrategyFrame: a stray set_strategy frame (the
+// type older coordinators sent to switch a lane's selection strategy)
+// earns an error frame echoing its seq, and the connection stays usable
+// for the next request.
+func TestNodeRejectsRetiredStrategyFrame(t *testing.T) {
+	conn, err := net.Dial("tcp", startNode(t, "node0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	roundTrip := func(req string) wire.ClusterFrame {
+		t.Helper()
+		if _, err := conn.Write([]byte(req + "\n")); err != nil {
+			t.Fatalf("write %s: %v", req, err)
+		}
+		line, err := br.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("read response to %s: %v", req, err)
+		}
+		resp, err := wire.DecodeClusterFrame(line)
+		if err != nil {
+			t.Fatalf("decode %s: %v", line, err)
+		}
+		return resp
+	}
+
+	resp := roundTrip(`{"v":1,"type":"set_strategy","seq":5,"epoch":0,"slot":0,"strategy":"lazy"}`)
+	if resp.Type != wire.ClusterError || resp.Seq != 5 || resp.Error == "" {
+		t.Fatalf("set_strategy answered %+v, want an error frame for seq 5", resp)
+	}
+	resp = roundTrip(`{"v":1,"type":"hello","seq":6,"epoch":1,"slot":0,"config":{"world":"rwm","seed":1,"sensors":20,"shards":1,"shard":0}}`)
+	if resp.Type != wire.ClusterOK || resp.Seq != 6 {
+		t.Fatalf("hello after the rejected frame answered %+v, want ok for seq 6", resp)
 	}
 }

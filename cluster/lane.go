@@ -35,8 +35,8 @@ type networkLane struct {
 	br    *bufio.Reader
 	seq   uint64
 	epoch uint64
-	// ops is the lane's replayable history: submits, cancels, strategy
-	// switches and one slot op per completed slot. A resync ships the
+	// ops is the lane's replayable history: submits, cancels and one
+	// slot op per completed slot. A resync ships the
 	// whole log; checkpointing to bound it is future work.
 	ops []wire.ClusterOp
 	// ranSlot is the last slot whose RunLane partial was delivered; a
@@ -216,20 +216,6 @@ func (l *networkLane) Cancel(id string) bool {
 	}
 	l.co.noteAlive(l.name)
 	return resp.Removed
-}
-
-// SetStrategy records the switch in the oplog and pushes it to the node
-// when reachable; a broken lane picks it up on resync replay.
-func (l *networkLane) SetStrategy(s ps.Strategy) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.ops = append(l.ops, wire.ClusterOp{Op: "strategy", Strategy: s.String()})
-	if l.conn == nil {
-		return
-	}
-	if resp, err := l.call(wire.ClusterFrame{Type: wire.ClusterStrategy, Strategy: s.String()}, l.epoch); err == nil && resp.Type == wire.ClusterOK {
-		l.co.noteAlive(l.name)
-	}
 }
 
 // RunLane commands the node to step its replica into slot t, run the

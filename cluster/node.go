@@ -107,11 +107,12 @@ func (s *NodeServer) handleConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		f, err := wire.DecodeClusterFrame(line)
-		if err != nil {
+		var resp wire.ClusterFrame
+		if f, err := wire.DecodeClusterFrame(line); err == nil {
+			resp = s.dispatch(f)
+		} else if resp, err = s.reject(line, err); err != nil {
 			return
 		}
-		resp := s.dispatch(f)
 		buf, err := wire.MarshalClusterFrame(resp)
 		if err != nil {
 			return
@@ -169,14 +170,6 @@ func (s *NodeServer) dispatch(f wire.ClusterFrame) wire.ClusterFrame {
 		resp.Type = wire.ClusterOK
 		resp.Removed = s.lane.Cancel(f.ID)
 		return resp
-	case wire.ClusterStrategy:
-		strat, err := ps.ParseStrategy(f.Strategy)
-		if err != nil {
-			return errFrame(resp, err)
-		}
-		s.lane.SetStrategy(strat)
-		resp.Type = wire.ClusterOK
-		return resp
 	case wire.ClusterRunSlot:
 		p, err := s.lane.RunSlot(f.Slot)
 		if err != nil {
@@ -206,6 +199,27 @@ func (s *NodeServer) dispatch(f wire.ClusterFrame) wire.ClusterFrame {
 	}
 }
 
+// reject answers a v1 frame this build does not accept — an unknown type
+// such as a retired request type, or a missing required field — with an
+// error frame echoing its seq, so the caller fails that one request
+// instead of losing the connection. Bytes that are not a v1 frame at all
+// return an error, and the connection ends.
+func (s *NodeServer) reject(line []byte, decodeErr error) (wire.ClusterFrame, error) {
+	var hdr struct {
+		V   int    `json:"v"`
+		Seq uint64 `json:"seq"`
+	}
+	if err := json.Unmarshal(line, &hdr); err != nil {
+		return wire.ClusterFrame{}, err
+	}
+	if hdr.V != wire.ClusterVersion {
+		return wire.ClusterFrame{}, decodeErr
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return errFrame(wire.ClusterFrame{V: wire.ClusterVersion, Seq: hdr.Seq, Node: s.name, Epoch: s.epoch}, decodeErr), nil
+}
+
 // errFrame shapes an error response, carrying the stable wire code when
 // the error wraps a ps sentinel so the coordinator can reconstruct it.
 func errFrame(resp wire.ClusterFrame, err error) wire.ClusterFrame {
@@ -222,11 +236,7 @@ func buildLane(cfg wire.NodeConfig, ops []wire.ClusterOp) (*ps.NodeLane, error) 
 	if err != nil {
 		return nil, err
 	}
-	opts, err := laneOptions(cfg)
-	if err != nil {
-		return nil, err
-	}
-	lane := ps.NewNodeLane(world, cfg.Shards, cfg.Shard, opts...)
+	lane := ps.NewNodeLane(world, cfg.Shards, cfg.Shard)
 	for i, op := range ops {
 		if err := replayOp(lane, op); err != nil {
 			return nil, fmt.Errorf("cluster: resync replay op %d (%s): %w", i, op.Op, err)
@@ -255,13 +265,6 @@ func replayOp(lane *ps.NodeLane, op wire.ClusterOp) error {
 		return err
 	case "cancel":
 		lane.Cancel(op.ID)
-		return nil
-	case "strategy":
-		strat, err := ps.ParseStrategy(op.Strategy)
-		if err != nil {
-			return err
-		}
-		lane.SetStrategy(strat)
 		return nil
 	case "slot":
 		if op.Ran {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-
-	ps "repro"
 )
 
 // normalizeBench zeroes the machine-dependent fields of a bench record so
@@ -40,13 +38,6 @@ func TestScenarioDeterminism(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.Name, func(t *testing.T) {
-			strat := ps.StrategyLazy
-			if sc.Strategy != "" {
-				var err error
-				if strat, err = ps.ParseStrategy(sc.Strategy); err != nil {
-					t.Fatal(err)
-				}
-			}
 			// Reduced horizon (and fleet, for the 40k scenario) keeps the
 			// double run fast; determinism is per-slot, so three slots
 			// exercise the same code paths as the full schedule.
@@ -57,7 +48,7 @@ func TestScenarioDeterminism(t *testing.T) {
 			}
 			var out [2][]byte
 			for r := range out {
-				res := normalizeBench(runScenario(sc, strat, 0, 0, sc.Shards))
+				res := normalizeBench(runScenario(sc, 0, 0, sc.Shards))
 				buf, err := json.MarshalIndent(res, "", "  ")
 				if err != nil {
 					t.Fatal(err)
@@ -87,12 +78,8 @@ func TestShardedScenarioMatchesUnshardedWelfare(t *testing.T) {
 	}
 	sc.Slots = 2
 	sc.Sensors = 10_000
-	strat, err := ps.ParseStrategy(sc.Strategy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded := runScenario(sc, strat, 0, 0, sc.Shards)
-	unsharded := runScenario(sc, strat, 0, 0, 1)
+	sharded := runScenario(sc, 0, 0, sc.Shards)
+	unsharded := runScenario(sc, 0, 0, 1)
 	if sharded.Answered != unsharded.Answered {
 		t.Errorf("answered %d sharded vs %d unsharded", sharded.Answered, unsharded.Answered)
 	}

@@ -7,8 +7,7 @@
 //
 // It is also the repo's reproducible perf harness: named fixed-seed
 // scenarios (dense-urban, sparse-rural, bursty-arrival,
-// continuous-heavy) run the slot pipeline under a selectable
-// candidate-evaluation strategy and emit machine-readable
+// continuous-heavy, ...) run the slot pipeline and emit machine-readable
 // BENCH_<scenario>.json records (see scenarios.go); CI runs them every
 // push and gates on slot-latency regressions against the checked-in
 // baselines under bench/.
@@ -20,7 +19,7 @@
 //	psbench -figure fig3 -slots 10 # reduced horizon
 //	psbench -list                  # list figure IDs
 //	psbench -engine -engine-sensors 10000 -engine-slots 20
-//	psbench -scenario all -strategy lazy -json -out . -baseline bench
+//	psbench -scenario all -json -out . -baseline bench
 package main
 
 import (
@@ -47,7 +46,6 @@ func main() {
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned text")
 
 		scenarioF   = flag.String("scenario", "", "run a named perf scenario (dense-urban, sparse-rural, bursty-arrival, continuous-heavy, sharded-metro, or 'all') instead of figures")
-		strategy    = flag.String("strategy", "lazy", "scenario mode: selection strategy (auto, serial, sharded, lazy, lazy-sharded)")
 		shardsF     = flag.Int("shards", 0, "scenario mode: override the scenario's geographic shard count (0 = scenario default; >1 runs the geo-sharded layer)")
 		jsonOut     = flag.Bool("json", false, "scenario mode: write machine-readable BENCH_<scenario>.json files")
 		outDir      = flag.String("out", ".", "scenario mode: output directory for BENCH_*.json")
@@ -63,7 +61,7 @@ func main() {
 	flag.Parse()
 
 	if *scenarioF != "" {
-		os.Exit(runScenarioMode(*scenarioF, *strategy, *slots, *seed, *shardsF, *jsonOut, *outDir, *baselineDir))
+		os.Exit(runScenarioMode(*scenarioF, *slots, *seed, *shardsF, *jsonOut, *outDir, *baselineDir))
 	}
 
 	if *engineMode {

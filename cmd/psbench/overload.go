@@ -157,7 +157,6 @@ func runOverloadScenario(sc overloadScenario, slotsOverride int) (overloadBenchR
 	)
 	eng.Start()
 	api := serve.New(eng, world, serve.Options{
-		Strategy:  ps.StrategyAuto,
 		RateLimit: sc.RateLimit,
 		RateBurst: sc.RateBurst,
 		HighWater: sc.HighWater,

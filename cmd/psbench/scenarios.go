@@ -1,8 +1,7 @@
 package main
 
 // The reproducible perf harness: named scenarios with fixed seeds and
-// fixed workload schedules, run through the Aggregator with a selectable
-// candidate-evaluation strategy. Each run records slot-latency
+// fixed workload schedules, run through the Aggregator. Each run records slot-latency
 // percentiles, the greedy core's valuation-call instrumentation, welfare
 // and allocation counts; -json writes one machine-readable
 // BENCH_<scenario>.json per scenario so the perf trajectory of the repo
@@ -48,10 +47,6 @@ type scenario struct {
 	// the deterministic fields still guard drift; the speedup gate is
 	// waived because loopback RPC overhead is what the scenario measures.
 	Cluster bool
-	// Strategy pins the selection strategy for this scenario regardless
-	// of the -strategy flag ("" = honor the flag). Sharded scenarios pin
-	// it so the speedup compares identical per-shard algorithms.
-	Strategy string
 	// TargetP50Ms, when > 0, gates the run on an absolute p50 slot
 	// latency after normalizing this machine's speed to the reference
 	// machine via the calibration loop (see targetRefCalibrationMs).
@@ -234,14 +229,10 @@ var scenarios = []scenario{
 		// 40k sensors and ~2k queries/slot make the per-round candidate
 		// scan of the greedy core the bottleneck; the 4-way partition cuts
 		// that scan ~4x serially, plus shard parallelism on multi-core
-		// machines. The strategy is pinned so the gate always compares the
-		// same per-shard algorithm sharded vs unsharded; lazy is the
-		// production default for sharded engines (see PERFORMANCE.md), so
-		// that is what this scenario measures and gates.
+		// machines.
 		Sensors:     40_000,
 		Slots:       4,
 		Shards:      4,
-		Strategy:    "lazy",
 		TargetP50Ms: 100,
 		slot: func(r *scenarioRun, t int) {
 			// Interior boxes of the four shards of the RWM working region
@@ -290,11 +281,10 @@ var scenarios = []scenario{
 		// fields (welfare, valuation calls, answered counts) must match an
 		// in-process sharded run bit for bit — the cluster golden tests
 		// pin that — so any drift here is reconciliation drift.
-		Sensors:  20_000,
-		Slots:    4,
-		Shards:   4,
-		Cluster:  true,
-		Strategy: "lazy",
+		Sensors: 20_000,
+		Slots:   4,
+		Shards:  4,
+		Cluster: true,
 		slot: func(r *scenarioRun, t int) {
 			quads := []ps.Rect{
 				ps.NewRect(21, 21, 34, 34),
@@ -398,7 +388,6 @@ func scenarioByName(name string) (scenario, bool) {
 type benchResult struct {
 	Scenario    string  `json:"scenario"`
 	Description string  `json:"description"`
-	Strategy    string  `json:"strategy"`
 	Seed        int64   `json:"seed"`
 	Sensors     int     `json:"sensors"`
 	Slots       int     `json:"slots"`
@@ -507,9 +496,9 @@ func calibrate() float64 {
 	return float64(time.Since(start).Nanoseconds()) / 1e6
 }
 
-// runScenario executes one scenario with the given strategy and shard
-// count (shards <= 1 is the unsharded aggregator) and returns its record.
-func runScenario(sc scenario, strat ps.Strategy, slotsOverride int, seedOverride int64, shards int) benchResult {
+// runScenario executes one scenario with the given shard count (shards
+// <= 1 is the unsharded aggregator) and returns its record.
+func runScenario(sc scenario, slotsOverride int, seedOverride int64, shards int) benchResult {
 	if slotsOverride > 0 {
 		sc.Slots = slotsOverride
 	}
@@ -528,15 +517,15 @@ func runScenario(sc scenario, strat ps.Strategy, slotsOverride int, seedOverride
 		// Cluster mode: one in-process node server per shard behind a real
 		// loopback TCP socket, so the measured slot latency includes frame
 		// encode/decode and the RPC round trips.
-		agg, world, cleanup := startClusterBackend(sc, strat, shards)
+		agg, world, cleanup := startClusterBackend(sc, shards)
 		defer cleanup()
 		r.agg, r.world = agg, world
 	case shards > 1:
 		r.world = ps.NewRWMWorld(sc.Seed, sc.Sensors, ps.SensorConfig{})
-		r.agg = ps.NewShardedAggregator(r.world, shards, ps.WithGreedyStrategy(strat))
+		r.agg = ps.NewShardedAggregator(r.world, shards)
 	default:
 		r.world = ps.NewRWMWorld(sc.Seed, sc.Sensors, ps.SensorConfig{})
-		r.agg = ps.NewAggregator(r.world, ps.WithGreedyStrategy(strat))
+		r.agg = ps.NewAggregator(r.world)
 	}
 	if sc.setup != nil {
 		sc.setup(r)
@@ -645,7 +634,6 @@ func runScenario(sc scenario, strat ps.Strategy, slotsOverride int, seedOverride
 	return benchResult{
 		Scenario:                sc.Name,
 		Description:             sc.Desc,
-		Strategy:                strat.String(),
 		Seed:                    sc.Seed,
 		Sensors:                 sc.Sensors,
 		Slots:                   sc.Slots,
@@ -683,7 +671,7 @@ func runScenario(sc scenario, strat ps.Strategy, slotsOverride int, seedOverride
 // sockets and returns a cluster coordinator driving them, its world
 // replica, and a cleanup closing everything. Failures panic: a scenario
 // that cannot assemble its backend is a harness bug, not a measurement.
-func startClusterBackend(sc scenario, strat ps.Strategy, shards int) (slotBackend, *ps.World, func()) {
+func startClusterBackend(sc scenario, shards int) (slotBackend, *ps.World, func()) {
 	nodes := make([]*cluster.NodeServer, shards)
 	addrs := make([]string, shards)
 	for k := 0; k < shards; k++ {
@@ -700,7 +688,6 @@ func startClusterBackend(sc scenario, strat ps.Strategy, shards int) (slotBacken
 		Seed:       sc.Seed,
 		Sensors:    sc.Sensors,
 		Shards:     shards,
-		Strategy:   strat.String(),
 		Nodes:      addrs,
 		RPCTimeout: 60 * time.Second,
 	})
@@ -742,33 +729,19 @@ const targetRefCalibrationMs = 125.0
 // (unsharded p50 over sharded critical-path p50 — what the wall ratio
 // becomes once every lane has its own core).
 //
-// The floor depends on the strategy both sides run. With exhaustive
-// scans a K-way partition cuts the per-round candidate scan K-fold, so
-// a 4-shard run targets 4x (the sharded-metro workload measures
-// ~2.7-2.9x of it from work reduction alone on one core). Lazy-greedy
-// moves the goalposts: the *unsharded* reference already prunes most
-// candidate evaluations with the same heap, so sharding's remaining win
-// is lane parallelism plus smaller per-lane instances (cheaper
-// relevance index, smaller heaps), and the honest floor is lower — the
-// workload measures ~2.5-2.9x lane-parallel with lazy lanes.
-func minShardedSpeedup(strat ps.Strategy) float64 {
-	lazy := strat == ps.StrategyLazy || strat == ps.StrategyLazySharded
+// Both sides run lazy greedy, and the *unsharded* reference already
+// prunes most candidate evaluations with the same heap, so sharding's
+// win is lane parallelism plus smaller per-lane instances (cheaper
+// relevance index, smaller heaps) — the workload measures ~2.5-2.9x
+// lane-parallel.
+func minShardedSpeedup() float64 {
 	switch cores := runtime.GOMAXPROCS(0); {
 	case cores >= 4:
-		if lazy {
-			return 2.0
-		}
-		return 4.0
+		return 2.0
 	case cores >= 2:
-		if lazy {
-			return 1.8
-		}
-		return 3.0
+		return 1.8
 	default:
-		if lazy {
-			return 1.6
-		}
-		return 2.4
+		return 1.6
 	}
 }
 
@@ -816,12 +789,7 @@ func benchFileName(scenario string) string {
 // exit code. shardsFlag > 0 overrides every selected scenario's shard
 // count (and disables the sharded-speedup gate, which is pinned to the
 // scenarios' declared configurations).
-func runScenarioMode(names string, strategy string, slots int, seed int64, shardsFlag int, emitJSON bool, outDir, baselineDir string) int {
-	strat, err := ps.ParseStrategy(strategy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "psbench:", err)
-		return 2
-	}
+func runScenarioMode(names string, slots int, seed int64, shardsFlag int, emitJSON bool, outDir, baselineDir string) int {
 	var selected []scenario
 	var streamSelected []streamScenario
 	var overloadSelected []overloadScenario
@@ -855,13 +823,6 @@ func runScenarioMode(names string, strategy string, slots int, seed int64, shard
 	exit := 0
 	for _, sc := range selected {
 		start := time.Now()
-		scStrat := strat
-		if sc.Strategy != "" {
-			if scStrat, err = ps.ParseStrategy(sc.Strategy); err != nil {
-				fmt.Fprintln(os.Stderr, "psbench:", err)
-				return 2
-			}
-		}
 		shards := sc.Shards
 		// Cluster scenarios measure loopback-RPC overhead on top of the
 		// sharded layer, so the unsharded comparison is informational, not
@@ -874,8 +835,8 @@ func runScenarioMode(names string, strategy string, slots int, seed int64, shard
 		if shards > 1 {
 			// Sharded scenario: run the unsharded configuration first on the
 			// same machine so the speedup is a pure work ratio.
-			base := runScenario(sc, scStrat, slots, seed, 1)
-			res = runScenario(sc, scStrat, slots, seed, shards)
+			base := runScenario(sc, slots, seed, 1)
+			res = runScenario(sc, slots, seed, shards)
 			res.UnshardedP50Ms = base.SlotMsP50
 			if res.SlotMsP50 > 0 {
 				res.SpeedupP50 = base.SlotMsP50 / res.SlotMsP50
@@ -884,10 +845,10 @@ func runScenarioMode(names string, strategy string, slots int, seed int64, shard
 				res.LaneSpeedupP50 = base.SlotMsP50 / res.CriticalPathP50Ms
 			}
 		} else {
-			res = runScenario(sc, scStrat, slots, seed, 1)
+			res = runScenario(sc, slots, seed, 1)
 		}
-		fmt.Printf("== %s (%d sensors, %d slots, %d shard(s), strategy %s) — %s\n",
-			res.Scenario, res.Sensors, res.Slots, res.Shards, res.Strategy, sc.Desc)
+		fmt.Printf("== %s (%d sensors, %d slots, %d shard(s)) — %s\n",
+			res.Scenario, res.Sensors, res.Slots, res.Shards, sc.Desc)
 		fmt.Printf("%-26s p50 %.2fms  p95 %.2fms  max %.2fms  mean %.2fms\n",
 			"slot latency:", res.SlotMsP50, res.SlotMsP95, res.SlotMsMax, res.SlotMsMean)
 		for _, st := range res.SlotStages {
@@ -917,9 +878,9 @@ func runScenarioMode(names string, strategy string, slots int, seed int64, shard
 					"", res.LaneSpeedupP50, res.CriticalPathP50Ms, res.CriticalPathP95Ms)
 				gated = math.Max(gated, res.LaneSpeedupP50)
 			}
-			if want := minShardedSpeedup(scStrat); gateSpeedup && gated < want {
-				fmt.Fprintf(os.Stderr, "psbench: REGRESSION %s: sharded p50 speedup %.2fx below the required %.1fx (%d CPUs, strategy %s)\n",
-					res.Scenario, gated, want, runtime.GOMAXPROCS(0), res.Strategy)
+			if want := minShardedSpeedup(); gateSpeedup && gated < want {
+				fmt.Fprintf(os.Stderr, "psbench: REGRESSION %s: sharded p50 speedup %.2fx below the required %.1fx (%d CPUs)\n",
+					res.Scenario, gated, want, runtime.GOMAXPROCS(0))
 				exit = 1
 			}
 		}

@@ -124,18 +124,18 @@ func (m *countingMux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // record plus the process exit code contribution (0 ok, 1 gate failed).
 func runStreamScenario(sc streamScenario, queriesOverride int) (streamBenchResult, int) {
 	world := ps.NewRWMWorld(sc.Seed, sc.Sensors, ps.SensorConfig{})
-	// The serving configuration: the greedy Algorithm 5 pipeline with the
-	// lazy selection strategy — the paper's exact BILP point policy is
+	// The serving configuration: the greedy Algorithm 5 pipeline for
+	// point-only slots too — the paper's exact BILP point policy is
 	// quadratic-ish in per-slot demand and cannot hold a 100ms slot at
 	// this arrival rate.
 	eng := ps.NewEngine(
-		ps.NewAggregator(world, ps.WithScheduling(ps.SchedulingGreedy), ps.WithGreedyStrategy(ps.StrategyLazy)),
+		ps.NewAggregator(world, ps.WithScheduling(ps.SchedulingGreedy)),
 		ps.WithSlotInterval(sc.Interval),
 		ps.WithQueueSize(4*sc.PerSlot),
 		ps.WithBlockingSubmit(),
 	)
 	eng.Start()
-	api := serve.New(eng, world, serve.Options{Strategy: ps.StrategyAuto})
+	api := serve.New(eng, world, serve.Options{})
 	mux := &countingMux{next: api.Handler()}
 	ts := httptest.NewServer(mux)
 	defer func() {

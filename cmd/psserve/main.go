@@ -1,18 +1,20 @@
 // Command psserve runs the streaming engine as a long-lived HTTP daemon:
 // a simulated participatory-sensing world advances one time slot per
-// tick, and clients submit queries and poll their per-slot results. The
-// HTTP API lives in package serve, the JSON wire format in package wire,
-// and the matching Go SDK in package psclient; this command only parses
-// flags and wires them together.
+// tick, and clients submit queries and watch (or poll) their per-slot
+// results. Every slot selects sensors with Algorithm 1's lazy greedy
+// pass; there is no selection knob. The HTTP API lives in package serve,
+// the JSON wire format in package wire, and the matching Go SDK in
+// package psclient; this command only parses flags and wires them
+// together.
 //
 // Example:
 //
-//	psserve -addr :8080 -world rwm -sensors 200 -interval 1s -strategy lazy
+//	psserve -addr :8080 -world rwm -sensors 200 -interval 1s
 //	curl -s -X POST localhost:8080/query -d \
-//	  '{"v":1,"type":"point","loc":{"x":30,"y":30},"budget":15}'
+//	  '{"v":1,"type":"point","id":"q1","loc":{"x":30,"y":30},"budget":15}'
+//	curl -sN 'localhost:8080/watch?id=q1'
 //	curl -s localhost:8080/query/q1
 //	curl -s 'localhost:8080/queries?limit=10'
-//	curl -s -X POST localhost:8080/strategy -d '{"strategy":"lazy-sharded"}'
 package main
 
 import (
@@ -41,7 +43,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "world seed")
 		interval  = flag.Duration("interval", time.Second, "slot clock interval")
 		sched     = flag.String("sched", "optimal", "scheduling: optimal, localsearch, baseline, egalitarian or greedy")
-		strategy  = flag.String("strategy", "auto", "greedy selection strategy: auto, serial, sharded, lazy or lazy-sharded")
 		shards    = flag.Int("shards", 1, "geographic shards; >1 serves slots through the geo-sharded execution layer (greedy pipeline, -sched ignored)")
 		nodeAddrs = flag.String("node-addrs", "", "comma-separated psnode addresses, one per shard (empty entry = in-process): serves slots through the multi-node cluster coordinator")
 		queue     = flag.Int("queue", 1024, "ingest queue size")
@@ -71,11 +72,6 @@ func main() {
 		os.Exit(2)
 	}
 	policy, err := parseScheduling(*sched)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "psserve:", err)
-		os.Exit(2)
-	}
-	strat, err := ps.ParseStrategy(*strategy)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "psserve:", err)
 		os.Exit(2)
@@ -110,7 +106,6 @@ func main() {
 			Seed:      *seed,
 			Sensors:   *sensors,
 			Shards:    *shards,
-			Strategy:  *strategy,
 			Nodes:     strings.Split(*nodeAddrs, ","),
 			Heartbeat: time.Second,
 		})
@@ -127,12 +122,12 @@ func main() {
 			os.Exit(2)
 		}
 		eng = ps.NewShardedEngine(
-			ps.NewShardedAggregator(w, *shards, ps.WithGreedyStrategy(strat)),
+			ps.NewShardedAggregator(w, *shards),
 			engineOpts...,
 		)
 	} else {
 		eng = ps.NewEngine(
-			ps.NewAggregator(w, ps.WithScheduling(policy), ps.WithGreedyStrategy(strat)),
+			ps.NewAggregator(w, ps.WithScheduling(policy)),
 			engineOpts...,
 		)
 	}
@@ -146,7 +141,6 @@ func main() {
 	sopts := serve.Options{
 		Retain:              *retain,
 		NoRetention:         *retain <= 0,
-		Strategy:            strat,
 		Logger:              logger,
 		Debug:               *debug,
 		RateLimit:           *rateLimit,
@@ -161,8 +155,8 @@ func main() {
 	api := serve.New(eng, w, sopts)
 	srv := &http.Server{Addr: *addr, Handler: api.Handler()}
 	go func() {
-		log.Printf("psserve: serving %s world (%d sensors) on %s, slot every %v, strategy %s, %d shard(s)",
-			*world, *sensors, *addr, *interval, strat, *shards)
+		log.Printf("psserve: serving %s world (%d sensors) on %s, slot every %v, %d shard(s)",
+			*world, *sensors, *addr, *interval, *shards)
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			log.Fatalf("psserve: %v", err)
 		}

@@ -50,20 +50,18 @@
 // Package wire defines the JSON wire format of that HTTP API, and
 // package psclient is the matching Go SDK.
 //
-// Selection performance is tunable without affecting results: the
-// greedy core's candidate-evaluation strategy (WithGreedyStrategy —
-// serial reference scan, lazy-greedy/CELF pruning, geo-sharded lanes,
-// or lazy×sharded, the default for NewShardedAggregator lanes) changes
-// only how much work a slot does; every strategy is bit-identical in
-// welfare, values and payments, and the strategy-equivalence tests gate
-// that. At the pinned 40k-sensor sharded-metro benchmark the lazy
-// sharded pipeline holds a sub-100ms per-lane critical path. See
-// PERFORMANCE.md for the cost model, the valuation caches and their
-// invalidation rules, and strategy-selection guidance.
+// Algorithm 1 finds each round's best sensor with CELF-style lazy
+// greedy: cached net benefits in a max-heap, re-evaluated only when
+// stale. Its welfare, values and payments are bit-identical to the
+// paper's exhaustive scan, which the equivalence tests keep as the
+// reference. Geo-sharded execution (NewShardedAggregator) runs one lazy
+// pass per shard lane in parallel; at the pinned 40k-sensor
+// sharded-metro benchmark it holds a sub-100ms per-lane critical path.
+// See PERFORMANCE.md for the cost model, the valuation caches and their
+// invalidation rules.
 //
 // See DESIGN.md for the package inventory and the engine architecture
-// (ingest, event loop, slot clock, fan-out, parallel candidate
-// evaluation); cmd/psbench regenerates the paper's figures and
+// (ingest, event loop, slot clock, fan-out, shard-lane fan-out); cmd/psbench regenerates the paper's figures and
 // load-tests the engine, and bench_test.go tracks both speed and
 // solution quality.
 package ps

@@ -135,10 +135,8 @@ type EngineMetrics struct {
 	GapEvents       int64
 	// Selection instrumentation accumulated over all slots: valuation
 	// calls the greedy core made, what an exhaustive scan would have
-	// made (their difference is the lazy strategy's pruning), lazy-heap
-	// re-evaluations and non-submodular fallback rescans. Strategy is
-	// the label of the most recent slot's effective strategy.
-	Strategy                string
+	// made (their difference is the lazy loop's pruning), lazy-heap
+	// re-evaluations and non-submodular fallback rescans.
 	ValuationCalls          int64
 	ValuationCallsSaved     int64
 	LazyReevaluations       int64
@@ -206,8 +204,8 @@ func WithBlockingSubmit() EngineOption {
 // Under sustained overload this keeps admission latency flat and sheds
 // the work that has already waited longest, instead of rejecting all
 // fresh work (the default) or stalling submitters (WithBlockingSubmit,
-// which this option overrides). Only submissions are sheddable; cancels,
-// strategy switches and RunSlots commands are never evicted, though
+// which this option overrides). Only submissions are sheddable; cancels
+// and RunSlots commands are never evicted, though
 // shedding may delay them behind newer submissions. Intended for
 // real-clock serving engines.
 func WithShedOldest() EngineOption {
@@ -246,7 +244,6 @@ type queryRuntime interface {
 	slotRunner
 	Submit(Spec) (SubmittedQuery, error)
 	CancelQuery(id string) bool
-	SetGreedyStrategy(Strategy)
 }
 
 // Engine is the concurrent, slot-clocked serving layer over an
@@ -330,15 +327,6 @@ func (e *Engine) Start() { e.loop.Start() }
 // Whatever is still live after the cap is closed with ErrEngineStopped.
 // Stop blocks until the loop goroutine exits.
 func (e *Engine) Stop() { e.loop.Stop() }
-
-// SetGreedyStrategy switches the aggregator's candidate-evaluation
-// strategy for subsequent slots. Safe from any goroutine: the change is
-// applied on the event loop. It returns an enqueue error (queue full or
-// engine stopped); results are unaffected either way — strategies are
-// bit-identical.
-func (e *Engine) SetGreedyStrategy(s Strategy) error {
-	return e.loop.Do(func() { e.agg.SetGreedyStrategy(s) })
-}
 
 // RunSlots synchronously executes n slots on the event loop and returns
 // when they have all run — the virtual/fast-forward clock used by tests,
@@ -493,9 +481,6 @@ func (e *Engine) onSlot(rep *SlotReport, dur time.Duration) {
 	e.mu.Lock()
 	e.m.LastSlot = rep.Slot
 	e.m.LastWelfare = rep.Welfare
-	if rep.Selection.Strategy != "" {
-		e.m.Strategy = rep.Selection.Strategy
-	}
 	e.m.ValuationCalls += rep.Selection.ValuationCalls
 	e.m.ValuationCallsSaved += rep.Selection.SavedCalls()
 	e.m.LazyReevaluations += rep.Selection.LazyReevaluations

@@ -436,12 +436,11 @@ func TestEngineRealClock(t *testing.T) {
 	}
 }
 
-// TestEngineSelectionStrategyAndStats: the engine accumulates the greedy
-// core's instrumentation across slots and can switch strategies at
-// runtime without disturbing live queries.
-func TestEngineSelectionStrategyAndStats(t *testing.T) {
+// TestEngineSelectionStats: the engine accumulates the greedy
+// core's instrumentation across slots.
+func TestEngineSelectionStats(t *testing.T) {
 	world := NewRWMWorld(1, 300, SensorConfig{})
-	e := NewEngine(NewAggregator(world, WithGreedyStrategy(StrategyLazy)))
+	e := NewEngine(NewAggregator(world))
 	e.Start()
 	t.Cleanup(e.Stop)
 
@@ -462,18 +461,9 @@ func TestEngineSelectionStrategyAndStats(t *testing.T) {
 	if m.ValuationCalls <= 0 {
 		t.Errorf("ValuationCalls = %d, want > 0", m.ValuationCalls)
 	}
-	if m.Strategy != "lazy" {
-		t.Errorf("Strategy = %q, want lazy", m.Strategy)
-	}
 
-	if err := e.SetGreedyStrategy(StrategySerial); err != nil {
-		t.Fatalf("SetGreedyStrategy: %v", err)
-	}
 	submitSlot(1)
 	m2 := e.Metrics()
-	if m2.Strategy != "serial" {
-		t.Errorf("Strategy after switch = %q, want serial", m2.Strategy)
-	}
 	if m2.ValuationCalls <= m.ValuationCalls {
 		t.Errorf("ValuationCalls did not accumulate: %d -> %d", m.ValuationCalls, m2.ValuationCalls)
 	}

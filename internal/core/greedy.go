@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -66,11 +65,11 @@ type MultiResult struct {
 	// (Algorithm 5) can continue applying results.
 	States map[string]query.State
 	// Trace lists the commits in selection order, one entry per Selected
-	// sensor (greedy strategies only; the baseline pipeline leaves it nil).
+	// sensor (greedy selection only; the baseline pipeline leaves it nil).
 	Trace []SelectionStep
 	// Stats instruments the selection run: how many valuation calls the
-	// chosen strategy made versus what an exhaustive version-cached scan
-	// would have made, plus the lazy heap's bookkeeping.
+	// lazy loop made versus what an exhaustive version-cached scan would
+	// have made, plus the lazy heap's bookkeeping.
 	Stats SelectionStats
 }
 
@@ -82,8 +81,8 @@ func (r *MultiResult) Welfare() float64 { return r.TotalValue - r.TotalCost }
 // order, totals, per-query values and per-sensor payments (exact float
 // equality; Stats are intentionally excluded) — and describes the first
 // divergence, or returns "" when identical. It backs the
-// strategy-equivalence tests: every GreedyConfig.Strategy must produce
-// results for which this returns "".
+// equivalence tests: the lazy path and the exhaustive oracle must
+// produce results for which this returns "".
 func DiffMultiResults(want, got *MultiResult) string {
 	if len(got.Selected) != len(want.Selected) {
 		return fmt.Sprintf("%d sensors selected, want %d", len(got.Selected), len(want.Selected))
@@ -119,17 +118,14 @@ func DiffMultiResults(want, got *MultiResult) string {
 // many runs) performed. ValuationCalls is the number of State.Gain
 // invocations; SerialEquivCalls is what the exhaustive version-cached scan
 // of GreedySelect would have invoked on the same instance, so
-// SavedCalls() is the lazy strategy's pruning effect.
+// SavedCalls() is the lazy loop's pruning effect.
 type SelectionStats struct {
-	// Strategy is the effective strategy label of the last run
-	// ("serial", "sharded", "lazy", "lazy-sharded").
-	Strategy string
 	// ValuationCalls counts marginal-gain evaluations actually made —
 	// State.Gain invocations plus PairCached fast-path recombinations.
 	ValuationCalls int64
 	// SerialEquivCalls counts the Gain invocations an exhaustive scan
 	// with the same per-(sensor, query) version cache would have made.
-	// For the serial and sharded strategies the two are equal.
+	// For the exhaustive oracle the two are equal.
 	SerialEquivCalls int64
 	// LazyReevaluations counts heap candidates popped stale and
 	// re-evaluated against the current states.
@@ -138,7 +134,7 @@ type SelectionStats struct {
 	// marginal gain *increased* — evidence the valuation is not
 	// submodular, so cached heap priorities are not upper bounds.
 	SubmodularityViolations int64
-	// FallbackRescans counts rounds the lazy strategy re-scanned every
+	// FallbackRescans counts rounds the lazy loop re-scanned every
 	// remaining candidate exhaustively after observing a violation.
 	FallbackRescans int64
 	// GeomCacheHits / GeomCacheLookups count per-sensor footprint-geometry
@@ -157,7 +153,7 @@ type SelectionStats struct {
 	PosteriorRebuilds int64
 }
 
-// SavedCalls is the number of valuation calls the strategy avoided
+// SavedCalls is the number of valuation calls the lazy loop avoided
 // relative to the exhaustive version-cached scan (never negative).
 func (s SelectionStats) SavedCalls() int64 {
 	if s.SerialEquivCalls > s.ValuationCalls {
@@ -166,12 +162,9 @@ func (s SelectionStats) SavedCalls() int64 {
 	return 0
 }
 
-// Accumulate folds another run's counters into s (keeping the most recent
-// strategy label), for callers aggregating across slots.
+// Accumulate folds another run's counters into s, for callers
+// aggregating across slots.
 func (s *SelectionStats) Accumulate(o SelectionStats) {
-	if o.Strategy != "" {
-		s.Strategy = o.Strategy
-	}
 	s.ValuationCalls += o.ValuationCalls
 	s.SerialEquivCalls += o.SerialEquivCalls
 	s.LazyReevaluations += o.LazyReevaluations
@@ -190,116 +183,45 @@ func (s *SelectionStats) Accumulate(o SelectionStats) {
 // query pi_{q,a} = deltav_{q,a} * c_a / sum_q deltav_{q,a} (proportionate
 // cost sharing). It stops when no sensor yields positive net benefit.
 //
-// The loop structure makes O(|Q| |S|^2) valuation calls (Theorem 1,
-// property 4); the per-query incremental states keep each call cheap. On
-// large fleets the candidate scan of each iteration is sharded across
-// GOMAXPROCS workers, and StrategyLazy prunes most candidate evaluations
-// entirely (see GreedySelectWith); every strategy is bit-identical to the
-// serial path.
+// The paper's loop structure makes O(|Q| |S|^2) valuation calls (Theorem
+// 1, property 4). GreedySelect finds each round's argmax with the
+// CELF-style lazy loop of lazygreedy.go instead of rescanning every
+// sensor: cached net benefits in a max-heap, re-evaluated only when a
+// relevant query's state changed, with an exhaustive-rescan fallback when
+// a valuation proves non-submodular. Its selections, payments and welfare
+// are bit-identical to the exhaustive scan's (ExhaustiveSelect).
 func GreedySelect(queries []query.Query, offers []Offer) *MultiResult {
-	return GreedySelectWith(queries, offers, GreedyConfig{})
+	return greedySelect(queries, offers, false)
 }
 
-// GreedyConfig tunes the candidate-evaluation strategy of GreedySelect.
-type GreedyConfig struct {
-	// Workers caps the goroutines scanning candidate sensors per
-	// iteration: 0 means GOMAXPROCS, 1 forces the serial path.
-	Workers int
-	// ParallelThreshold is the minimum offer count before the scan is
-	// sharded (default 256): below it the spawn overhead dominates.
-	ParallelThreshold int
-	// Strategy selects the candidate-evaluation algorithm; the zero
-	// value (StrategyAuto) keeps the historical behaviour of a serial
-	// scan below ParallelThreshold and a sharded scan above it.
-	Strategy Strategy
+// ExhaustiveSelect is GreedySelect with the paper's literal loop: every
+// remaining sensor is re-evaluated each round. It is the reference the
+// equivalence tests compare the lazy path against; production code never
+// selects it.
+func ExhaustiveSelect(queries []query.Query, offers []Offer) *MultiResult {
+	return greedySelect(queries, offers, true)
 }
 
-// resolve normalizes the config against the instance size: effective
-// strategy and worker count.
-func (cfg GreedyConfig) resolve(n int) (Strategy, int) {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	threshold := cfg.ParallelThreshold
-	if threshold <= 0 {
-		threshold = defaultParallelThreshold
-	}
-	strat := cfg.Strategy
-	if strat == StrategyAuto {
-		if n < threshold || workers == 1 {
-			strat = StrategySerial
-		} else {
-			strat = StrategySharded
-		}
-	}
-	switch strat {
-	case StrategySerial:
-		workers = 1
-	case StrategySharded, StrategyLazySharded:
-		if n < threshold {
-			workers = 1
-		} else if workers > n {
-			workers = n
-		}
-	case StrategyLazy:
-		workers = 1
-	}
-	return strat, workers
-}
-
-// GreedySelectWith is GreedySelect with explicit strategy control. All
-// strategies produce identical selections, payments and welfare:
-//
-//   - StrategySerial scans every remaining sensor each round.
-//   - StrategySharded splits that scan over Workers goroutines; the merge
-//     keeps the serial rule "first sensor index with the strictly largest
-//     net benefit". The scan only reads query states (State.Gain must not
-//     mutate), so shards race-free.
-//   - StrategyLazy / StrategyLazySharded run the CELF-style lazy-greedy
-//     fast path of lazygreedy.go: cached net benefits in a max-heap,
-//     re-evaluated only when a relevant query's state changed, with an
-//     exhaustive-rescan fallback when a valuation proves non-submodular.
-func GreedySelectWith(queries []query.Query, offers []Offer, cfg GreedyConfig) *MultiResult {
+func greedySelect(queries []query.Query, offers []Offer, exhaustive bool) *MultiResult {
 	s := newSelection(queries, offers)
 	defer s.release()
-	if len(queries) == 0 || len(offers) == 0 {
-		s.finalize()
-		return s.res
-	}
-	strat, workers := cfg.resolve(len(offers))
-	switch strat {
-	case StrategyLazy, StrategyLazySharded:
-		sharded := strat == StrategyLazySharded && workers > 1
-		if sharded {
-			s.stats.Strategy = StrategyLazySharded.String()
+	if len(queries) > 0 && len(offers) > 0 {
+		if exhaustive {
+			s.exhaustiveLoop()
 		} else {
-			s.stats.Strategy = StrategyLazy.String()
+			s.lazyLoop()
 		}
-		s.lazyLoop(sharded, workers)
-	default:
-		if workers > 1 {
-			s.stats.Strategy = StrategySharded.String()
-		} else {
-			s.stats.Strategy = StrategySerial.String()
-		}
-		s.exhaustiveLoop(workers)
 	}
 	s.finalize()
 	return s.res
 }
-
-// defaultParallelThreshold keeps the paper-scale evaluations (200-635
-// sensors) on the serial path, where goroutine spawn costs more than the
-// scan itself.
-const defaultParallelThreshold = 256
 
 // submodularTolerance is the slack above which a re-evaluated marginal
 // gain exceeding its cached value counts as a submodularity violation.
 const submodularTolerance = 1e-12
 
 // selection is the shared mutable state of one Algorithm 1 run, used by
-// both the exhaustive and the lazy candidate-evaluation strategies.
+// both the lazy loop and the exhaustive oracle.
 //
 // Marginal gains depend only on the query's own state, so cached gains
 // stay exact until that query commits a sensor. Version stamps per query
@@ -346,7 +268,7 @@ type selection struct {
 	// submod marks queries advertising query.Submodular. Only their
 	// stale-gain increases count as violations: unmarked valuations
 	// (aggregates, trajectories) are allowed to grow and are handled by
-	// the lazy strategy's eager volatile maintenance instead.
+	// the lazy loop's eager volatile maintenance instead.
 	submod []bool
 	// lastBumped lists the query indices whose version the most recent
 	// commit advanced (scratch reused across rounds; lazy maintenance
@@ -357,7 +279,7 @@ type selection struct {
 }
 
 // selArena owns the reusable scratch of a selection run. Nothing in it
-// escapes into the MultiResult, so GreedySelectWith returns it to a
+// escapes into the MultiResult, so greedySelect returns it to a
 // sync.Pool once finalize has copied the outputs out; concurrent shard
 // lanes each draw their own arena.
 type selArena struct {
@@ -427,13 +349,6 @@ func (s *selection) release() {
 	// run's states past the run.
 	clear(ar.pcs)
 	arenaPool.Put(ar)
-}
-
-// evalCounters accumulates per-goroutine valuation accounting; shards get
-// their own instance so the hot loop never touches shared memory.
-type evalCounters struct {
-	calls      int64
-	violations int64
 }
 
 func newSelection(queries []query.Query, offers []Offer) *selection {
@@ -654,7 +569,7 @@ func (s *selection) buildRelevance() {
 // positive marginal gains, refreshing exactly the stale (sensor, query)
 // cache entries. A refreshed gain larger than its cached predecessor is
 // counted as a submodularity violation.
-func (s *selection) evalSensor(si int, c *evalCounters) float64 {
+func (s *selection) evalSensor(si int) float64 {
 	net := -s.offers[si].Cost
 	for idx := s.relOff[si]; idx < s.relOff[si+1]; idx++ {
 		qi := s.relIdx[idx]
@@ -670,9 +585,9 @@ func (s *selection) evalSensor(si int, c *evalCounters) float64 {
 			} else {
 				g = s.states[qi].Gain(s.offers[si].Sensor)
 			}
-			c.calls++
+			s.stats.ValuationCalls++
 			if s.submod[qi] && s.vers[idx] >= 0 && g > s.gains[idx]+submodularTolerance {
-				c.violations++
+				s.stats.SubmodularityViolations++
 			}
 			s.gains[idx] = g
 			s.vers[idx] = s.qver[qi]
@@ -764,81 +679,20 @@ func (s *selection) finalize() {
 	s.res.Stats = s.stats
 }
 
-func (s *selection) addCounters(c evalCounters) {
-	s.stats.ValuationCalls += c.calls
-	s.stats.SubmodularityViolations += c.violations
-}
-
-// scanRange finds the best candidate in [lo, hi): the lowest sensor index
-// with the strictly largest positive net benefit. It fills the gain
-// caches for its shard; shards never overlap, and Gain is safe for
-// concurrent callers (states that memoize geometry guard their memo
-// with a mutex; see query.aggregateState), so concurrent shards do not
-// race.
-func (s *selection) scanRange(lo, hi int, c *evalCounters) (int, float64) {
-	bestS, bestNet := -1, 0.0
-	for si := lo; si < hi; si++ {
-		if !s.remaining[si] {
-			continue
-		}
-		if net := s.evalSensor(si, c); net > bestNet {
-			bestNet = net
-			bestS = si
-		}
-	}
-	return bestS, bestNet
-}
-
-// scanSharded runs scanRange over `workers` contiguous shards and merges
-// in shard order with a strict > comparison, reproducing exactly the
-// serial first-max choice.
-func (s *selection) scanSharded(workers int) (int, float64) {
-	type cand struct {
-		s   int
-		net float64
-		c   evalCounters
-	}
-	n := len(s.offers)
-	results := make([]cand, workers)
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			results[w] = cand{s: -1}
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			results[w].s, results[w].net = s.scanRange(lo, hi, &results[w].c)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-
-	bestS, bestNet := -1, 0.0
-	for _, r := range results {
-		s.addCounters(r.c)
-		if r.s != -1 && r.net > bestNet {
-			bestS, bestNet = r.s, r.net
-		}
-	}
-	return bestS, bestNet
-}
-
-// exhaustiveLoop is the original Algorithm 1 loop: scan every remaining
-// sensor each round, commit the best, stop when nothing is profitable.
-func (s *selection) exhaustiveLoop(workers int) {
+// exhaustiveLoop is the paper's literal Algorithm 1 loop: scan every
+// remaining sensor each round, commit the first one with the strictly
+// largest positive net benefit, stop when nothing is profitable.
+func (s *selection) exhaustiveLoop() {
 	for {
-		var bestS int
-		var bestNet float64
-		if workers > 1 {
-			bestS, bestNet = s.scanSharded(workers)
-		} else {
-			var c evalCounters
-			bestS, bestNet = s.scanRange(0, len(s.offers), &c)
-			s.addCounters(c)
+		bestS, bestNet := -1, 0.0
+		for si := range s.offers {
+			if !s.remaining[si] {
+				continue
+			}
+			if net := s.evalSensor(si); net > bestNet {
+				bestNet = net
+				bestS = si
+			}
 		}
 		if bestS == -1 {
 			break // no sensor with positive net benefit: leave the loop
@@ -849,17 +703,15 @@ func (s *selection) exhaustiveLoop(workers int) {
 
 // GreedyPoint adapts Algorithm 1 to the PointSolver interface so the mix
 // pipeline can schedule point queries through the shared greedy pass.
-func GreedyPoint() PointSolver { return GreedyPointWith(GreedyConfig{}) }
-
-// GreedyPointWith is GreedyPoint with explicit strategy control.
-func GreedyPointWith(cfg GreedyConfig) PointSolver {
+// exhaustive runs the ExhaustiveSelect oracle instead of the lazy loop;
+// only the equivalence tests set it.
+func GreedyPoint(exhaustive bool) PointSolver {
 	return func(queries []*query.Point, offers []Offer) *PointResult {
 		qs := make([]query.Query, len(queries))
 		for i, q := range queries {
 			qs[i] = q
 		}
-		multi := GreedySelectWith(qs, offers, cfg)
-		return pointResultFromMulti(queries, multi)
+		return pointResultFromMulti(queries, greedySelect(qs, offers, exhaustive))
 	}
 }
 

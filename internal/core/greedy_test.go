@@ -138,7 +138,7 @@ func TestGreedyComplexityGuard(t *testing.T) {
 
 func TestGreedyPointAdapter(t *testing.T) {
 	queries, offers := randomScenario(5, 20, 40, 15)
-	res := GreedyPoint()(queries, offers)
+	res := GreedyPoint(false)(queries, offers)
 	for qid, o := range res.Outcomes {
 		if o.Value <= 0 {
 			t.Errorf("outcome %s has value %v", qid, o.Value)

@@ -1,71 +1,5 @@
 package core
 
-import (
-	"fmt"
-	"strings"
-	"sync"
-)
-
-// Strategy selects how Algorithm 1 evaluates candidate sensors. All
-// strategies return bit-identical results; they differ only in how much
-// work they do to find each round's argmax.
-type Strategy int
-
-const (
-	// StrategyAuto keeps the historical default: a serial scan below
-	// GreedyConfig.ParallelThreshold offers, a sharded scan above it.
-	StrategyAuto Strategy = iota
-	// StrategySerial scans every remaining sensor each round on one
-	// goroutine.
-	StrategySerial
-	// StrategySharded splits the per-round scan over Workers goroutines.
-	StrategySharded
-	// StrategyLazy is the CELF-style lazy-greedy fast path: cached net
-	// benefits in a max-heap, re-evaluated only when stale.
-	StrategyLazy
-	// StrategyLazySharded is StrategyLazy with the initial bound build
-	// and the violation-fallback rescans sharded over Workers
-	// goroutines.
-	StrategyLazySharded
-)
-
-// String implements fmt.Stringer.
-func (s Strategy) String() string {
-	switch s {
-	case StrategyAuto:
-		return "auto"
-	case StrategySerial:
-		return "serial"
-	case StrategySharded:
-		return "sharded"
-	case StrategyLazy:
-		return "lazy"
-	case StrategyLazySharded:
-		return "lazy-sharded"
-	default:
-		return "unknown"
-	}
-}
-
-// ParseStrategy parses a strategy name as accepted by the CLIs
-// ("auto", "serial", "sharded", "lazy", "lazy-sharded").
-func ParseStrategy(s string) (Strategy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "auto":
-		return StrategyAuto, nil
-	case "serial":
-		return StrategySerial, nil
-	case "sharded", "parallel":
-		return StrategySharded, nil
-	case "lazy", "celf":
-		return StrategyLazy, nil
-	case "lazy-sharded", "lazy+sharded", "lazysharded":
-		return StrategyLazySharded, nil
-	default:
-		return StrategyAuto, fmt.Errorf("unknown strategy %q (want auto, serial, sharded, lazy or lazy-sharded)", s)
-	}
-}
-
 // lazyEntry is one heap candidate: a sensor and its last evaluated net
 // benefit. While every relevant query's version is unchanged the net is
 // exact; once a version bumps it is (for submodular valuations) an upper
@@ -76,7 +10,7 @@ type lazyEntry struct {
 }
 
 // lazyHeap is a binary max-heap of candidates ordered by net benefit,
-// ties broken by the lower sensor index — exactly the serial scan's
+// ties broken by the lower sensor index — exactly the exhaustive scan's
 // "first index with the strictly largest net" rule.
 type lazyHeap []lazyEntry
 
@@ -163,7 +97,7 @@ type volRef struct {
 // entries are skipped on pop (lazy deletion keyed on curNet). When a
 // popped valid entry is fresh — no relevant query committed a sensor
 // since it was evaluated — every other candidate's bound is at most the
-// top's exact net, so the top is the round's true argmax with the serial
+// top's exact net, so the top is the round's true argmax with the exhaustive scan's
 // tie-break, and it commits without touching the rest of the pool. Stale
 // tops are re-evaluated (refreshing only the stale (sensor, query) gain
 // cache entries) and pushed back.
@@ -174,7 +108,7 @@ type volRef struct {
 // priorities for all of them) and rebuilds the heap. This detector is
 // best-effort — the bound invariant, and with it bit-identical results,
 // is guaranteed by truthful markers, not by detection.
-func (s *selection) lazyLoop(sharded bool, workers int) {
+func (s *selection) lazyLoop() {
 	// Build the reverse index volatile maintenance needs (query -> its
 	// gain-cache slots) in CSR form over the arena; the submodular
 	// classification lives on the selection (newSelection).
@@ -222,7 +156,7 @@ func (s *selection) lazyLoop(sharded bool, workers int) {
 	h := ar.heap[:0]
 	defer func() { ar.heap = h[:0] }()
 	rebuild := func() {
-		s.refreshRemaining(sharded, workers)
+		s.refreshRemaining()
 		h = h[:0]
 		for si := range s.offers {
 			if s.remaining[si] {
@@ -240,7 +174,6 @@ func (s *selection) lazyLoop(sharded bool, workers int) {
 	}
 	ar.touched = touched
 	var touchList []int32
-	var c evalCounters
 	for len(h) > 0 {
 		e := h.popTop()
 		if !s.remaining[e.si] || e.net != curNet[e.si] {
@@ -248,7 +181,7 @@ func (s *selection) lazyLoop(sharded bool, workers int) {
 		}
 		if e.net <= 0 {
 			// The highest valid bound is non-positive: no remaining
-			// sensor is profitable, exactly the serial termination rule.
+			// sensor is profitable, exactly the exhaustive termination rule.
 			break
 		}
 		if s.fresh(e.si) {
@@ -274,7 +207,7 @@ func (s *selection) lazyLoop(sharded bool, workers int) {
 						g := st.Gain(s.offers[ref.si].Sensor)
 						s.gains[ref.idx] = g
 						s.vers[ref.idx] = s.qver[qi]
-						c.calls++
+						s.stats.ValuationCalls++
 						// The sensor's net sums only positive gains, so its
 						// priority moved iff the positive part moved; most
 						// refreshes of a saturated aggregate swing one
@@ -300,61 +233,27 @@ func (s *selection) lazyLoop(sharded bool, workers int) {
 			continue
 		}
 		s.stats.LazyReevaluations++
-		vBefore := c.violations
-		net := s.evalSensor(e.si, &c)
-		if c.violations > vBefore {
+		vBefore := s.stats.SubmodularityViolations
+		net := s.evalSensor(e.si)
+		if s.stats.SubmodularityViolations > vBefore {
 			// A marked-submodular gain grew: the cached bounds cannot be
 			// trusted, so re-scan the whole remaining pool to make every
 			// priority exact again.
 			s.stats.FallbackRescans++
-			s.addCounters(c)
-			c = evalCounters{}
 			rebuild()
 			continue
 		}
 		curNet[e.si] = net
 		h.push(lazyEntry{si: e.si, net: net})
 	}
-	s.addCounters(c)
 }
 
 // refreshRemaining brings every remaining sensor's gain cache up to the
-// current query versions (optionally sharded; shards touch disjoint
-// sensors, and Gain is safe for concurrent callers — memoizing states
-// guard their memo with a mutex — so they do not race).
-func (s *selection) refreshRemaining(sharded bool, workers int) {
-	n := len(s.offers)
-	if !sharded || workers <= 1 {
-		var c evalCounters
-		for si := 0; si < n; si++ {
-			if s.remaining[si] {
-				s.evalSensor(si, &c)
-			}
+// current query versions.
+func (s *selection) refreshRemaining() {
+	for si := range s.offers {
+		if s.remaining[si] {
+			s.evalSensor(si)
 		}
-		s.addCounters(c)
-		return
-	}
-	counters := make([]evalCounters, workers)
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for si := lo; si < hi; si++ {
-				if s.remaining[si] {
-					s.evalSensor(si, &counters[w])
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, c := range counters {
-		s.addCounters(c)
 	}
 }

@@ -70,7 +70,7 @@ func TestLedgerMixConservation(t *testing.T) {
 		queries, offers := randomScenario(seed, 25, 50, 15)
 		aggs := makeAggregates(grid, 120,
 			geo.NewRect(5, 5, 25, 25), geo.NewRect(10, 10, 22, 28))
-		res := RunMixSlot(0, MixQueries{Points: queries, Aggregates: aggs}, offers)
+		res := RunMixSlot(0, MixQueries{Points: queries, Aggregates: aggs}, offers, false)
 		l.RecordMixResult(res)
 	}
 	if err := l.CheckBalance(1e-6); err != nil {

@@ -79,15 +79,11 @@ func (r *MixSlotResult) Welfare() float64 {
 //  4. payment adjustment from region queries' cost contributions,
 //  5. data acquisition and accounting (done by the caller committing the
 //     selected sensors).
-func RunMixSlot(t int, qs MixQueries, offers []Offer) *MixSlotResult {
-	return RunMixSlotWith(t, qs, offers, GreedyConfig{})
-}
-
-// RunMixSlotWith is RunMixSlot with explicit control over the joint
-// Algorithm 1 pass's candidate-evaluation strategy (see GreedyConfig);
-// the mix result is bit-identical across strategies, only
-// Multi.Stats differs.
-func RunMixSlotWith(t int, qs MixQueries, offers []Offer, cfg GreedyConfig) *MixSlotResult {
+//
+// exhaustive runs stage 2 with the ExhaustiveSelect oracle instead of the
+// lazy GreedySelect; only the equivalence tests set it, and the mix
+// result is bit-identical either way (only Multi.Stats differs).
+func RunMixSlot(t int, qs MixQueries, offers []Offer, exhaustive bool) *MixSlotResult {
 	res := &MixSlotResult{
 		PointOutcomes: make(map[string]PointOutcome),
 		Continuous:    make(map[string]ContinuousOutcome),
@@ -186,7 +182,7 @@ func RunMixSlotWith(t int, qs MixQueries, offers []Offer, cfg GreedyConfig) *Mix
 	}
 	all = append(all, qs.Extra...)
 	all = append(all, generated...)
-	multi := GreedySelectWith(all, offers, cfg)
+	multi := greedySelect(all, offers, exhaustive)
 	multi.Stats.PosteriorAppends += postAppended
 	multi.Stats.PosteriorRebuilds += postRebuilt
 	res.Multi = multi

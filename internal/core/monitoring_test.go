@@ -219,7 +219,7 @@ func TestRunMixSlotAllTypes(t *testing.T) {
 		},
 	}
 	offers := makeOffers(geo.Pt(25, 25), geo.Pt(30, 30), geo.Pt(20, 20), geo.Pt(15, 35))
-	res := RunMixSlot(0, mixQ, offers)
+	res := RunMixSlot(0, mixQ, offers, false)
 	if res.Welfare() <= 0 {
 		t.Fatalf("mix welfare = %v", res.Welfare())
 	}
@@ -259,7 +259,7 @@ func TestRunMixSlotBeatsBaselineAggregate(t *testing.T) {
 			}, makeOffers(positions...)
 		}
 		qA, oA := build()
-		algTotal += RunMixSlot(0, qA, oA).Welfare()
+		algTotal += RunMixSlot(0, qA, oA, false).Welfare()
 		baseTotal += RunMixSlotBaseline(0, qA, oA).Welfare()
 		_ = oA
 	}
@@ -274,7 +274,7 @@ func TestMixSlotLocMonFeedback(t *testing.T) {
 	mixQ := MixQueries{LocMon: []*query.LocationMonitoring{lm}}
 	offers := makeOffers(geo.Pt(10, 10))
 	for slot := 0; slot <= 10; slot++ {
-		RunMixSlot(slot, mixQ, offers)
+		RunMixSlot(slot, mixQ, offers, false)
 	}
 	if len(lm.Sampled) == 0 {
 		t.Error("location monitoring got no samples through the mix pipeline")
@@ -288,7 +288,7 @@ func TestMixSlotRegMonContributions(t *testing.T) {
 	offers := makeOffers(geo.Pt(6, 6), geo.Pt(9, 8), geo.Pt(11, 5), geo.Pt(5, 9))
 	var contributions int
 	for slot := 0; slot <= 20; slot++ {
-		res := RunMixSlot(slot, MixQueries{RegMon: []*query.RegionMonitoring{rm1, rm2}}, offers)
+		res := RunMixSlot(slot, MixQueries{RegMon: []*query.RegionMonitoring{rm1, rm2}}, offers, false)
 		contributions += len(res.Contributions)
 	}
 	if rm1.Value() <= 0 || rm2.Value() <= 0 {
@@ -302,7 +302,7 @@ func TestMixSlotRegMonContributions(t *testing.T) {
 }
 
 func TestMixEmptySlot(t *testing.T) {
-	res := RunMixSlot(0, MixQueries{}, makeOffers(geo.Pt(1, 1)))
+	res := RunMixSlot(0, MixQueries{}, makeOffers(geo.Pt(1, 1)), false)
 	if res.Welfare() != 0 {
 		t.Errorf("empty mix welfare = %v", res.Welfare())
 	}

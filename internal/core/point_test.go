@@ -228,7 +228,7 @@ func TestEmptyInputs(t *testing.T) {
 		"localsearch": LocalSearchPoint(DefaultLocalSearchEpsilon),
 		"baseline":    BaselinePoint(),
 		"egalitarian": EgalitarianPoint(),
-		"greedy":      GreedyPoint(),
+		"greedy":      GreedyPoint(false),
 	}
 	offers := makeOffers(geo.Pt(0, 0))
 	queries := makePoints(10, 5, geo.Pt(0, 0))

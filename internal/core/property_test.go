@@ -86,7 +86,7 @@ func TestSolversNeverExceedOptimal(t *testing.T) {
 			LocalSearchPoint(DefaultLocalSearchEpsilon),
 			BaselinePoint(),
 			EgalitarianPoint(),
-			GreedyPoint(),
+			GreedyPoint(false),
 		} {
 			if solver(queries, offers).Welfare() > best+1e-6 {
 				return false
@@ -158,7 +158,7 @@ func TestWelfareNeverNegativeProperty(t *testing.T) {
 		LocalSearchPoint(DefaultLocalSearchEpsilon),
 		BaselinePoint(),
 		EgalitarianPoint(),
-		GreedyPoint(),
+		GreedyPoint(false),
 	}
 	f := func(seed uint16, nq uint8, budget uint8) bool {
 		b := 5 + float64(budget%30)

@@ -52,44 +52,32 @@ func assertSameMultiResult(t *testing.T, label string, want, got *MultiResult) {
 	}
 }
 
-// TestGreedyStrategiesBitIdentical verifies that every candidate-
-// evaluation strategy — serial, sharded, lazy, lazy-sharded — produces
-// the exact same MultiResult on randomized mixed query workloads.
+// TestGreedyStrategiesBitIdentical verifies that the lazy selection path
+// produces the exact same MultiResult as the exhaustive oracle on
+// randomized mixed query workloads, with no more valuation calls.
 func TestGreedyStrategiesBitIdentical(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		qs, offers := randomMixedScenario(seed, 400)
-		serial := GreedySelectWith(qs, offers, GreedyConfig{Strategy: StrategySerial})
-		variants := []GreedyConfig{
-			{Strategy: StrategySharded, Workers: 4, ParallelThreshold: 1},
-			{Strategy: StrategyLazy},
-			{Strategy: StrategyLazySharded, Workers: 4, ParallelThreshold: 1},
-		}
-		for _, cfg := range variants {
-			got := GreedySelectWith(qs, offers, cfg)
-			assertSameMultiResult(t, fmt.Sprintf("seed %d strategy %s", seed, cfg.Strategy), serial, got)
-			if got.Stats.ValuationCalls > serial.Stats.SerialEquivCalls {
-				t.Errorf("seed %d strategy %s: %d valuation calls exceed the exhaustive scan's %d",
-					seed, cfg.Strategy, got.Stats.ValuationCalls, serial.Stats.SerialEquivCalls)
-			}
+		oracle := ExhaustiveSelect(qs, offers)
+		got := GreedySelect(qs, offers)
+		assertSameMultiResult(t, fmt.Sprintf("seed %d", seed), oracle, got)
+		if got.Stats.ValuationCalls > oracle.Stats.SerialEquivCalls {
+			t.Errorf("seed %d: %d valuation calls exceed the exhaustive scan's %d",
+				seed, got.Stats.ValuationCalls, oracle.Stats.SerialEquivCalls)
 		}
 	}
 }
 
-// TestExhaustiveCallAccounting: for the exhaustive strategies the
+// TestExhaustiveCallAccounting: for the exhaustive oracle the
 // SerialEquivCalls model must match the calls actually made — it is the
-// baseline the lazy strategy's SavedCalls is measured against.
+// baseline the lazy loop's SavedCalls is measured against.
 func TestExhaustiveCallAccounting(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		qs, offers := randomMixedScenario(seed, 300)
-		for _, cfg := range []GreedyConfig{
-			{Strategy: StrategySerial},
-			{Strategy: StrategySharded, Workers: 3, ParallelThreshold: 1},
-		} {
-			res := GreedySelectWith(qs, offers, cfg)
-			if res.Stats.ValuationCalls != res.Stats.SerialEquivCalls {
-				t.Errorf("seed %d strategy %s: made %d calls, accounting model says %d",
-					seed, cfg.Strategy, res.Stats.ValuationCalls, res.Stats.SerialEquivCalls)
-			}
+		res := ExhaustiveSelect(qs, offers)
+		if res.Stats.ValuationCalls != res.Stats.SerialEquivCalls {
+			t.Errorf("seed %d: made %d calls, accounting model says %d",
+				seed, res.Stats.ValuationCalls, res.Stats.SerialEquivCalls)
 		}
 	}
 }
@@ -114,13 +102,13 @@ func redundancyScenario(seed int64, nSensors, nQueries, k int) ([]query.Query, [
 }
 
 // TestLazySavesCallsOnRedundancyWorkloads: on a k-redundancy workload
-// (purely submodular valuations) the lazy strategy must prune a large
+// (purely submodular valuations) the lazy loop must prune a large
 // share of the exhaustive scan's valuation calls, never trip the
 // fallback, and stay bit-identical.
 func TestLazySavesCallsOnRedundancyWorkloads(t *testing.T) {
 	qs, offers := redundancyScenario(3, 2000, 150, 10)
-	serial := GreedySelectWith(qs, offers, GreedyConfig{Strategy: StrategySerial})
-	lazy := GreedySelectWith(qs, offers, GreedyConfig{Strategy: StrategyLazy})
+	serial := ExhaustiveSelect(qs, offers)
+	lazy := GreedySelect(qs, offers)
 	assertSameMultiResult(t, "lazy", serial, lazy)
 	if lazy.Stats.SubmodularityViolations != 0 || lazy.Stats.FallbackRescans != 0 {
 		t.Errorf("multipoint valuations are submodular but lazy saw %d violations, %d rescans",
@@ -141,7 +129,7 @@ func TestLazySavesCallsOnRedundancyWorkloads(t *testing.T) {
 // complement each other, so b's marginal gain *grows* after a commits.
 // When `lie` is set it falsely advertises query.Submodular — the exact
 // situation that invalidates CELF's cached upper bounds and must trigger
-// the lazy strategy's violation detector and exhaustive-rescan fallback.
+// the lazy loop's violation detector and exhaustive-rescan fallback.
 // Unmarked, it exercises the volatile eager-maintenance path instead.
 type comboQuery struct {
 	id         string
@@ -202,11 +190,11 @@ func comboFixture(lie bool) ([]query.Query, []Offer) {
 
 // TestLazyFallbackOnLyingSubmodularMarker: a valuation that falsely
 // claims submodularity must trip the violation detector, re-scan
-// exhaustively, and still return the serial result bit-identically.
+// exhaustively, and still return the oracle's result bit-identically.
 func TestLazyFallbackOnLyingSubmodularMarker(t *testing.T) {
 	qs, offers := comboFixture(true)
-	serial := GreedySelectWith(qs, offers, GreedyConfig{Strategy: StrategySerial})
-	lazy := GreedySelectWith(qs, offers, GreedyConfig{Strategy: StrategyLazy})
+	serial := ExhaustiveSelect(qs, offers)
+	lazy := GreedySelect(qs, offers)
 
 	assertSameMultiResult(t, "lazy fallback", serial, lazy)
 	if len(lazy.Selected) != 2 {
@@ -218,10 +206,10 @@ func TestLazyFallbackOnLyingSubmodularMarker(t *testing.T) {
 	if lazy.Stats.FallbackRescans == 0 {
 		t.Error("violation did not trigger the exhaustive-rescan fallback")
 	}
-	// The serial baseline sees the same gain increases but needs no
+	// The exhaustive oracle sees the same gain increases but needs no
 	// fallback: it re-scans everything every round anyway.
 	if serial.Stats.FallbackRescans != 0 {
-		t.Errorf("serial strategy recorded %d fallback rescans", serial.Stats.FallbackRescans)
+		t.Errorf("exhaustive oracle recorded %d fallback rescans", serial.Stats.FallbackRescans)
 	}
 }
 
@@ -230,8 +218,8 @@ func TestLazyFallbackOnLyingSubmodularMarker(t *testing.T) {
 // violations, no fallback, still bit-identical.
 func TestLazyVolatileMaintenanceOnUnmarkedValuation(t *testing.T) {
 	qs, offers := comboFixture(false)
-	serial := GreedySelectWith(qs, offers, GreedyConfig{Strategy: StrategySerial})
-	lazy := GreedySelectWith(qs, offers, GreedyConfig{Strategy: StrategyLazy})
+	serial := ExhaustiveSelect(qs, offers)
+	lazy := GreedySelect(qs, offers)
 
 	assertSameMultiResult(t, "lazy volatile", serial, lazy)
 	if len(lazy.Selected) != 2 {
@@ -243,17 +231,13 @@ func TestLazyVolatileMaintenanceOnUnmarkedValuation(t *testing.T) {
 	}
 }
 
-// TestLazyMatchesSerialOnAggregates mirrors TestGreedyParallelMatchesSerial
-// for the lazy strategies on the aggregate-heavy scenario: aggregate
-// valuations (Eq. 5's coverage x mean-quality product) are not strictly
-// submodular, so this exercises the fallback path on realistic inputs.
+// TestLazyMatchesSerialOnAggregates compares the lazy path with the
+// exhaustive oracle on the aggregate-heavy scenario: aggregate valuations
+// (Eq. 5's coverage x mean-quality product) are not strictly submodular,
+// so this exercises the volatile maintenance on realistic inputs.
 func TestLazyMatchesSerialOnAggregates(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		qs, offers := randomAggScenario(seed, 800, 30, 400)
-		serial := GreedySelectWith(qs, offers, GreedyConfig{Workers: 1})
-		for _, strat := range []Strategy{StrategyLazy, StrategyLazySharded} {
-			got := GreedySelectWith(qs, offers, GreedyConfig{Strategy: strat, ParallelThreshold: 1})
-			assertSameMultiResult(t, fmt.Sprintf("seed %d %s", seed, strat), serial, got)
-		}
+		assertSameMultiResult(t, fmt.Sprintf("seed %d", seed), ExhaustiveSelect(qs, offers), GreedySelect(qs, offers))
 	}
 }

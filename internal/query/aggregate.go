@@ -1,8 +1,6 @@
 package query
 
 import (
-	"sync"
-
 	"repro/internal/geo"
 	"repro/internal/sensornet"
 )
@@ -75,7 +73,7 @@ func (a *Aggregate) theta(s *sensornet.Sensor) float64 {
 // Aggregate deliberately does NOT implement Submodular: the coverage
 // term G_q alone would be, but Eq. 5 multiplies it by the *mean* reading
 // quality, so committing a low-quality high-coverage sensor can raise a
-// high-quality sensor's later marginal gain. The lazy-greedy strategy
+// high-quality sensor's later marginal gain. The lazy-greedy loop
 // therefore re-evaluates aggregate gains eagerly rather than trusting
 // cached bounds.
 func (a *Aggregate) NewState() State {
@@ -113,14 +111,6 @@ type aggregateState struct {
 	cellSensors [][]int32
 	hits        int64
 	lookups     int64
-	// mu serializes the memo structures above: Gain is called
-	// concurrently by sharded scan lanes, and a cache miss mutates
-	// cellCache, ncCache and — crucially — cellSensors entries shared
-	// across lanes. The memoized nc is an integer and covered[] only
-	// changes between scan barriers, so lock order cannot change any
-	// gain value. Add runs strictly between scan barriers and needs no
-	// lock.
-	mu sync.Mutex
 }
 
 func (st *aggregateState) Query() Query { return st.q }
@@ -167,11 +157,8 @@ func (st *aggregateState) Value() float64 {
 // newlyCovered returns how many cells s would newly cover, from the
 // incrementally maintained count when available. A miss walks the
 // sensor's in-range list once and registers the sensor on its uncovered
-// cells so later coverage flips keep the count current. Safe for
-// concurrent use by scan lanes (see mu).
+// cells so later coverage flips keep the count current.
 func (st *aggregateState) newlyCovered(s *sensornet.Sensor) int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	st.lookups++
 	if nc, ok := st.ncCache[s.ID]; ok {
 		st.hits++
@@ -288,9 +275,6 @@ type trajectoryState struct {
 	sampleSensors [][]int32
 	hits          int64
 	lookups       int64
-	// mu mirrors aggregateState.mu: Gain is called concurrently by
-	// sharded scan lanes and cache misses mutate the memo structures.
-	mu sync.Mutex
 }
 
 func (st *trajectoryState) Query() Query { return st.q }
@@ -339,10 +323,7 @@ func (st *trajectoryState) Value() float64 {
 }
 
 // newlyCovered mirrors aggregateState.newlyCovered over sample points.
-// Safe for concurrent use by scan lanes (see mu).
 func (st *trajectoryState) newlyCovered(s *sensornet.Sensor) int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	st.lookups++
 	if nc, ok := st.ncCache[s.ID]; ok {
 		st.hits++

@@ -52,7 +52,7 @@ type State interface {
 
 // Submodular is an optional marker interface for queries whose set
 // valuation is monotone submodular: for every A ⊆ B and sensor x ∉ B,
-// Gain(x | A) >= Gain(x | B). The lazy-greedy selection strategy
+// Gain(x | A) >= Gain(x | B). The lazy-greedy selection loop
 // (internal/core) treats a marked query's cached marginal gains as upper
 // bounds that only need re-evaluation when the query's state changes;
 // unmarked queries are re-evaluated eagerly after every commit that
@@ -117,8 +117,8 @@ type GeomCached interface {
 // re-evaluates stale gains through GainFrom alone, eliminating the
 // distance/quality math from every re-evaluation after a query's state
 // changes. The equality above is a hard contract — the selection caches
-// gains computed both ways interchangeably, and the strategy-equivalence
-// tests compare results to the last float bit — so GainFrom must perform
+// gains computed both ways interchangeably, and the equivalence tests
+// compare results to the last float bit — so GainFrom must perform
 // exactly the operations Gain performs after its base value is known
 // (same order, same intermediate precision), and BaseValue must not read
 // anything that changes as sensors commit.

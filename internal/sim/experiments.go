@@ -338,7 +338,7 @@ func RunMixSim(world *datasets.World, budgetFactor float64, alg5 bool, slots int
 		mq := core.MixQueries{Aggregates: aggs, Points: points, LocMon: activeLM}
 		var res *core.MixSlotResult
 		if alg5 {
-			res = core.RunMixSlot(t, mq, offers)
+			res = core.RunMixSlot(t, mq, offers, false)
 		} else {
 			res = core.RunMixSlotBaseline(t, mq, offers)
 		}

@@ -251,7 +251,7 @@ func ablationLocalSearch(o Options) []stats.Table {
 		{"LS eps=0.01", core.LocalSearchPoint(0.01)},
 		{"LS eps=0.5", core.LocalSearchPoint(0.5)},
 		{"RandLS x3", core.RandomizedLocalSearchPoint(0.01, 3, 7)},
-		{"Greedy", core.GreedyPoint()},
+		{"Greedy", core.GreedyPoint(false)},
 	}
 	for _, alg := range algs {
 		var utility []float64

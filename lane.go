@@ -59,8 +59,6 @@ type LaneRunner interface {
 	// order. Local lanes retire consumed queries; remote lanes propagate
 	// the commit so the node's world replica steps in lockstep.
 	FinishSlot(t int, selectedIDs []int) error
-	// SetStrategy switches the lane's candidate-evaluation strategy.
-	SetStrategy(s Strategy)
 }
 
 // LaneError is one degraded lane of a slot: the shard index and the error
@@ -271,8 +269,6 @@ func (l *localLane) FinishSlot(t int, selectedIDs []int) error {
 	return nil
 }
 
-func (l *localLane) SetStrategy(s Strategy) { l.a.SetGreedyStrategy(s) }
-
 // NodeLane is the node-side runtime of one cluster shard: a full
 // deterministic replica of the coordinator's world plus the shard's
 // Algorithm 5 pipeline. The coordinator owns the clock; the node advances
@@ -305,15 +301,11 @@ func sensorIndex(sensors []*sensornet.Sensor) map[int]*sensornet.Sensor {
 
 // NewNodeLane builds the node-side runtime for one shard of a world
 // partitioned into `shards`. Options mirror NewShardedAggregator's lane
-// configuration: the baseline pipeline is overridden and StrategyAuto
-// defaults to lazy-greedy, so a node lane is configured exactly like the
-// in-process lane it replaces.
+// configuration: the baseline pipeline is overridden, so a node lane is
+// configured exactly like the in-process lane it replaces.
 func NewNodeLane(world *World, shards, shard int, opts ...Option) *NodeLane {
 	a := NewAggregator(world, opts...)
 	a.baseline = false
-	if a.greedy.Strategy == core.StrategyAuto {
-		a.greedy.Strategy = core.StrategyLazy
-	}
 	return &NodeLane{
 		world: world,
 		part:  geo.NewGridPartition(world.Working, shards),
@@ -327,9 +319,6 @@ func (n *NodeLane) Shard() int { return n.shard }
 
 // Slot returns the replica's current slot (-1 before the first Advance).
 func (n *NodeLane) Slot() int { return n.world.Fleet.Slot() }
-
-// SetStrategy switches the lane's candidate-evaluation strategy.
-func (n *NodeLane) SetStrategy(s Strategy) { n.agg.SetGreedyStrategy(s) }
 
 // Submit materializes an already-validated spec on the lane. Lockstep
 // makes the bound window identical to what the coordinator recorded.

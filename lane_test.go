@@ -55,8 +55,6 @@ func (w *wireLane) FinishSlot(t int, selectedIDs []int) error {
 	return w.n.Commit(t, selectedIDs)
 }
 
-func (w *wireLane) SetStrategy(s Strategy) { w.n.SetStrategy(s) }
-
 // newWireSharded builds a ShardedAggregator whose every lane is a
 // wireLane over its own world replica built from the same seed.
 func newWireSharded(seed int64, sensors, shards int) *ShardedAggregator {

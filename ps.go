@@ -47,38 +47,28 @@ type (
 	RegionEventQuery = query.RegionEvent
 )
 
-// Selection-strategy surface of the greedy core (Algorithm 1). All
-// strategies return bit-identical selections, payments and welfare; they
-// differ only in how much work they do per slot.
-type (
-	// Strategy selects the candidate-evaluation algorithm of the greedy
-	// selection core.
-	Strategy = core.Strategy
-	// GreedyConfig tunes workers, sharding threshold and Strategy.
-	GreedyConfig = core.GreedyConfig
-	// SelectionStats counts valuation calls, lazy-heap re-evaluations
-	// and non-submodular fallbacks of one or many selection runs.
-	SelectionStats = core.SelectionStats
-)
+// SelectionStats counts valuation calls, lazy-heap re-evaluations and
+// non-submodular fallbacks of one or many selection runs.
+type SelectionStats = core.SelectionStats
 
-// The candidate-evaluation strategies.
-const (
-	// StrategyAuto is the historical default: serial below the sharding
-	// threshold, sharded above it.
-	StrategyAuto = core.StrategyAuto
-	// StrategySerial scans every remaining sensor each round.
-	StrategySerial = core.StrategySerial
-	// StrategySharded splits the scan across GOMAXPROCS workers.
-	StrategySharded = core.StrategySharded
-	// StrategyLazy is the CELF-style lazy-greedy fast path.
-	StrategyLazy = core.StrategyLazy
-	// StrategyLazySharded is StrategyLazy with sharded bound rebuilds.
-	StrategyLazySharded = core.StrategyLazySharded
-)
+// Strategy named a candidate-evaluation strategy of the greedy core.
+//
+// Deprecated: Algorithm 1 always runs lazy greedy; Strategy has no
+// effect and will be removed.
+type Strategy int
 
-// ParseStrategy parses a strategy name ("auto", "serial", "sharded",
-// "lazy", "lazy-sharded") as accepted by the CLIs.
-func ParseStrategy(s string) (Strategy, error) { return core.ParseStrategy(s) }
+// StrategyLazy named the lazy-greedy strategy.
+//
+// Deprecated: lazy greedy is the only selection path; StrategyLazy has
+// no effect and will be removed.
+const StrategyLazy Strategy = 0
+
+// WithGreedyStrategy selected the greedy core's candidate-evaluation
+// strategy.
+//
+// Deprecated: Algorithm 1 always runs lazy greedy; the option does
+// nothing and will be removed.
+func WithGreedyStrategy(Strategy) Option { return func(*Aggregator) {} }
 
 // Pt is shorthand for a Point.
 func Pt(x, y float64) Point { return geo.Pt(x, y) }
@@ -132,13 +122,15 @@ const (
 	// utility (§2's alternative objective).
 	SchedulingEgalitarian
 	// SchedulingGreedy schedules point-only slots through Algorithm 1's
-	// greedy pass, honoring the aggregator's selection strategy
-	// (WithGreedyStrategy) — the only policy whose point-only slots
-	// benefit from the lazy fast path and report selection stats.
+	// lazy greedy pass — the only policy whose point-only slots report
+	// selection stats.
 	SchedulingGreedy
 )
 
-func (s Scheduling) solver(cfg core.GreedyConfig) core.PointSolver {
+// solver returns the policy's point solver; exhaustive swaps the greedy
+// policy's lazy pass for the exhaustive-scan oracle (see
+// Aggregator.exhaustive).
+func (s Scheduling) solver(exhaustive bool) core.PointSolver {
 	switch s {
 	case SchedulingLocalSearch:
 		return core.LocalSearchPoint(core.DefaultLocalSearchEpsilon)
@@ -147,7 +139,7 @@ func (s Scheduling) solver(cfg core.GreedyConfig) core.PointSolver {
 	case SchedulingEgalitarian:
 		return core.EgalitarianPoint()
 	case SchedulingGreedy:
-		return core.GreedyPointWith(cfg)
+		return core.GreedyPoint(exhaustive)
 	default:
 		return core.OptimalPoint(core.OptimalOptions{
 			WarmStartWithLocalSearch: true,

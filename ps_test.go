@@ -5,11 +5,22 @@ import (
 	"testing"
 )
 
+// mustSubmit registers a spec with the aggregator, failing the test on a
+// validation error.
+func mustSubmit(t *testing.T, a *Aggregator, spec Spec) SubmittedQuery {
+	t.Helper()
+	sq, err := a.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit(%s %q): %v", spec.Kind(), spec.QueryID(), err)
+	}
+	return sq
+}
+
 func TestAggregatorPointLifecycle(t *testing.T) {
 	world := NewRWMWorld(1, 200, SensorConfig{})
 	agg := NewAggregator(world)
 	for i := 0; i < 20; i++ {
-		agg.SubmitPoint(ids("p", i), Pt(30+float64(i%5), 30+float64(i/5)), 20)
+		mustSubmit(t, agg, PointSpec{ID: ids("p", i), Loc: Pt(30+float64(i%5), 30+float64(i/5)), Budget: 20})
 	}
 	rep := agg.RunSlot()
 	if rep.Slot != 0 {
@@ -50,7 +61,7 @@ func TestAggregatorSchedulingPolicies(t *testing.T) {
 		var total float64
 		for slot := 0; slot < 5; slot++ {
 			for i := 0; i < 100; i++ {
-				agg.SubmitPoint(ids("q", i), Pt(15+float64((i*7)%50), 15+float64((i*13)%50)), 15)
+				mustSubmit(t, agg, PointSpec{ID: ids("q", i), Loc: Pt(15+float64((i*7)%50), 15+float64((i*13)%50)), Budget: 15})
 			}
 			total += agg.RunSlot().Welfare
 		}
@@ -87,13 +98,13 @@ func TestSchedulingString(t *testing.T) {
 func TestAggregatorMixedWorkload(t *testing.T) {
 	world := NewRNCWorld(3, SensorConfig{})
 	agg := NewAggregator(world)
-	agg.SubmitAggregate("agg1", NewRect(80, 110, 120, 150), 400)
-	agg.SubmitTrajectory("traj1", Trajectory{Waypoints: []Point{Pt(80, 120), Pt(140, 120)}}, 200)
-	agg.SubmitMultiPoint("mp1", Pt(100, 130), 60, 2)
+	mustSubmit(t, agg, AggregateSpec{ID: "agg1", Region: NewRect(80, 110, 120, 150), Budget: 400})
+	mustSubmit(t, agg, TrajectorySpec{ID: "traj1", Path: Trajectory{Waypoints: []Point{Pt(80, 120), Pt(140, 120)}}, Budget: 200})
+	mustSubmit(t, agg, MultiPointSpec{ID: "mp1", Loc: Pt(100, 130), Budget: 60, K: 2})
 	for i := 0; i < 50; i++ {
-		agg.SubmitPoint(ids("p", i), Pt(75+float64((i*3)%90), 105+float64((i*7)%90)), 15)
+		mustSubmit(t, agg, PointSpec{ID: ids("p", i), Loc: Pt(75+float64((i*3)%90), 105+float64((i*7)%90)), Budget: 15})
 	}
-	agg.SubmitLocationMonitoring("lm1", Pt(110, 140), 10, 100, 3)
+	mustSubmit(t, agg, LocationMonitoringSpec{ID: "lm1", Loc: Pt(110, 140), Duration: 10, Budget: 100, Samples: 3})
 	rep := agg.RunSlot()
 	if rep.Welfare <= 0 {
 		t.Fatalf("mixed welfare = %v", rep.Welfare)
@@ -115,15 +126,12 @@ func TestAggregatorMixedWorkload(t *testing.T) {
 func TestAggregatorRegionMonitoringRequiresModel(t *testing.T) {
 	world := NewRNCWorld(4, SensorConfig{})
 	agg := NewAggregator(world)
-	if _, err := agg.SubmitRegionMonitoring("rm1", NewRect(80, 110, 100, 130), 10, 100); err == nil {
+	if _, err := agg.Submit(RegionMonitoringSpec{ID: "rm1", Region: NewRect(80, 110, 100, 130), Duration: 10, Budget: 100}); err == nil {
 		t.Fatal("expected error on world without GP model")
 	}
 	lab := NewIntelLabWorld(4, SensorConfig{})
 	agg2 := NewAggregator(lab)
-	q, err := agg2.SubmitRegionMonitoring("rm1", NewRect(2, 2, 12, 10), 10, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := mustSubmit(t, agg2, RegionMonitoringSpec{ID: "rm1", Region: NewRect(2, 2, 12, 10), Duration: 10, Budget: 80}).Underlying().(*RegionMonitoringQuery)
 	var gained float64
 	for slot := 0; slot < 10; slot++ {
 		agg2.RunSlot()
@@ -139,7 +147,7 @@ func TestAggregatorEventDetection(t *testing.T) {
 	agg := NewAggregator(lab)
 	// Threshold below the field's mean so crossings are plausible;
 	// generous budget.
-	agg.SubmitEventDetection("ev1", Pt(10, 7), 10, 10, 0.8, 50)
+	mustSubmit(t, agg, EventDetectionSpec{ID: "ev1", Loc: Pt(10, 7), Duration: 10, Threshold: 10, Confidence: 0.8, BudgetPerSlot: 50})
 	sawEvaluation := false
 	for slot := 0; slot < 10; slot++ {
 		rep := agg.RunSlot()
@@ -164,9 +172,9 @@ func TestAggregatorBaselinePipelineComparable(t *testing.T) {
 		agg := NewAggregator(world, opts...)
 		var total float64
 		for slot := 0; slot < 5; slot++ {
-			agg.SubmitAggregate("agg", NewRect(80, 110, 130, 160), 500)
+			mustSubmit(t, agg, AggregateSpec{ID: "agg", Region: NewRect(80, 110, 130, 160), Budget: 500})
 			for i := 0; i < 60; i++ {
-				agg.SubmitPoint(ids("p", i), Pt(75+float64((i*3)%90), 105+float64((i*7)%90)), 15)
+				mustSubmit(t, agg, PointSpec{ID: ids("p", i), Loc: Pt(75+float64((i*3)%90), 105+float64((i*7)%90)), Budget: 15})
 			}
 			total += agg.RunSlot().Welfare
 		}
@@ -208,7 +216,7 @@ func TestAggregatorLedgerAccounting(t *testing.T) {
 	agg := NewAggregator(world)
 	for slot := 0; slot < 4; slot++ {
 		for i := 0; i < 80; i++ {
-			agg.SubmitPoint(ids("q", i), Pt(15+float64((i*31+slot*3)%50), 15+float64((i*17+slot*5)%50)), 18)
+			mustSubmit(t, agg, PointSpec{ID: ids("q", i), Loc: Pt(15+float64((i*31+slot*3)%50), 15+float64((i*17+slot*5)%50)), Budget: 18})
 		}
 		agg.RunSlot()
 	}
@@ -229,7 +237,7 @@ func TestAggregatorLedgerAccounting(t *testing.T) {
 		t.Errorf("gini = %v", g)
 	}
 	// Mixed pipeline also books into the ledger.
-	agg.SubmitAggregate("agg-l", NewRect(20, 20, 45, 45), 400)
+	mustSubmit(t, agg, AggregateSpec{ID: "agg-l", Region: NewRect(20, 20, 45, 45), Budget: 400})
 	agg.RunSlot()
 	if l.Slots() != 5 {
 		t.Errorf("mix slot not recorded: %d", l.Slots())
@@ -244,7 +252,7 @@ func TestAggregatorRegionEvent(t *testing.T) {
 	agg := NewAggregator(lab)
 	// Threshold below the field mean (20) so the regional average should
 	// exceed it whenever coverage and trust suffice.
-	q := agg.SubmitRegionEvent("re1", NewRect(2, 2, 14, 11), 12, 15.0, 0.5, 150)
+	q := mustSubmit(t, agg, RegionEventSpec{ID: "re1", Region: NewRect(2, 2, 14, 11), Duration: 12, Threshold: 15.0, Confidence: 0.5, BudgetPerSlot: 150}).Underlying().(*RegionEventQuery)
 	if q.SensingRange != lab.DMax {
 		t.Errorf("probe sensing range = %v want world dmax", q.SensingRange)
 	}

@@ -23,7 +23,7 @@ func TestStreamSurvivesChaosDrops(t *testing.T) {
 	eng := ps.NewEngine(ps.NewAggregator(world), ps.WithSlotInterval(5*time.Millisecond))
 	eng.Start()
 	handler := serve.Chaos(
-		serve.New(eng, world, serve.Options{Strategy: ps.StrategyAuto}).Handler(),
+		serve.New(eng, world, serve.Options{}).Handler(),
 		serve.ChaosConfig{Seed: 7, DropProb: 1, DropAfterMin: 2, DropAfterMax: 4},
 	)
 	ts := httptest.NewServer(handler)

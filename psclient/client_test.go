@@ -22,7 +22,7 @@ func newLiveStack(t *testing.T) *Client {
 	world := ps.NewRWMWorld(1, 200, ps.SensorConfig{})
 	eng := ps.NewEngine(ps.NewAggregator(world), ps.WithSlotInterval(2*time.Millisecond))
 	eng.Start()
-	ts := httptest.NewServer(serve.New(eng, world, serve.Options{Strategy: ps.StrategyAuto}).Handler())
+	ts := httptest.NewServer(serve.New(eng, world, serve.Options{}).Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		eng.Stop()
@@ -39,6 +39,27 @@ func testCtx(t *testing.T) context.Context {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	t.Cleanup(cancel)
 	return ctx
+}
+
+// streamToTerminal drains a query's event stream and returns the results
+// its slot_update frames carried, plus the terminal frame.
+func streamToTerminal(ctx context.Context, t *testing.T, q *Query) ([]wire.Result, wire.EventFrame) {
+	t.Helper()
+	st := q.Stream()
+	defer st.Close()
+	var results []wire.Result
+	for {
+		f, err := st.Next(ctx)
+		if err != nil {
+			t.Fatalf("stream %s: %v", q.ID, err)
+		}
+		if f.Event == wire.FrameSlotUpdate && f.Result != nil {
+			results = append(results, *f.Result)
+		}
+		if f.Terminal() {
+			return results, f
+		}
+	}
 }
 
 // TestClientSubmitPollCancelEndToEnd drives four one-shot kinds to their
@@ -66,15 +87,16 @@ func TestClientSubmitPollCancelEndToEnd(t *testing.T) {
 		if q.ID != spec.QueryID() {
 			t.Errorf("%s: server echoed id %q, want %q", spec.Kind(), q.ID, spec.QueryID())
 		}
-		st, err := q.PollUntilFinal(ctx, 5*time.Millisecond)
+		results, term := streamToTerminal(ctx, t, q)
+		if term.Event != wire.FrameFinal || term.Error != "" {
+			t.Fatalf("%s: terminal = %+v, want clean final", spec.Kind(), term)
+		}
+		if len(results) != 1 || !results[0].Final {
+			t.Fatalf("%s: results = %+v, want one final result", spec.Kind(), results)
+		}
+		st, err := q.Status(ctx)
 		if err != nil {
-			t.Fatalf("poll %s: %v", spec.Kind(), err)
-		}
-		if !st.Done || st.Error != "" {
-			t.Fatalf("%s: status = %+v, want clean done", spec.Kind(), st)
-		}
-		if len(st.Results) != 1 || !st.Results[0].Final {
-			t.Fatalf("%s: results = %+v, want one final result", spec.Kind(), st.Results)
+			t.Fatalf("status %s: %v", spec.Kind(), err)
 		}
 		if st.Type != spec.Kind().String() {
 			t.Errorf("%s: status type = %q", spec.Kind(), st.Type)
@@ -110,12 +132,8 @@ func TestClientSubmitPollCancelEndToEnd(t *testing.T) {
 		if err := q.Cancel(ctx); err != nil {
 			t.Fatalf("cancel %s: %v", continuous[i].Kind(), err)
 		}
-		st, err := q.PollUntilFinal(ctx, 5*time.Millisecond)
-		if err != nil {
-			t.Fatalf("poll canceled %s: %v", continuous[i].Kind(), err)
-		}
-		if st.Error != ps.ErrCanceled.Error() {
-			t.Errorf("%s: error = %q, want %q", continuous[i].Kind(), st.Error, ps.ErrCanceled)
+		if _, term := streamToTerminal(ctx, t, q); term.Error != ps.ErrCanceled.Error() {
+			t.Errorf("%s: error = %q, want %q", continuous[i].Kind(), term.Error, ps.ErrCanceled)
 		}
 	}
 
@@ -138,16 +156,6 @@ func TestClientSubmitPollCancelEndToEnd(t *testing.T) {
 		t.Errorf("QueriesCanceled = %d, want %d", m.QueriesCanceled, len(continuous))
 	}
 
-	// Strategy round trip.
-	if err := c.SetStrategy(ctx, "lazy"); err != nil {
-		t.Fatalf("SetStrategy: %v", err)
-	}
-	if s, err := c.Strategy(ctx); err != nil || s != "lazy" {
-		t.Fatalf("Strategy = %q, %v; want lazy", s, err)
-	}
-	if err := c.SetStrategy(ctx, "nonsense"); err == nil {
-		t.Error("SetStrategy(nonsense) succeeded")
-	}
 	h, err := c.Healthz(ctx)
 	if err != nil || !h.OK {
 		t.Fatalf("Healthz = %+v, %v", h, err)
@@ -166,8 +174,8 @@ func TestClientServerAssignedID(t *testing.T) {
 	if q.ID == "" {
 		t.Fatal("server did not assign an ID")
 	}
-	if _, err := q.PollUntilFinal(ctx, 5*time.Millisecond); err != nil {
-		t.Fatalf("poll: %v", err)
+	if _, term := streamToTerminal(ctx, t, q); term.Event != wire.FrameFinal {
+		t.Fatalf("terminal = %+v, want final", term)
 	}
 }
 

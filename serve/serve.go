@@ -1,7 +1,7 @@
 // Package serve implements the psserve HTTP API over a streaming
 // ps.Engine: query submission (single and batch), server-pushed result
-// streams, polling, cancellation, registry listing, engine metrics and
-// runtime strategy switching. The cmd/psserve daemon is a thin
+// streams, polling, cancellation, registry listing and engine metrics.
+// The cmd/psserve daemon is a thin
 // flag-parsing wrapper around it; tests and the psclient SDK run the
 // same handler behind net/http/httptest.
 //
@@ -21,8 +21,6 @@
 //	GET    /queries        paginated registry listing (?offset=&limit=)
 //	GET    /metrics        engine-wide metrics snapshot (incl. event
 //	                       delivery and valuation-call counters)
-//	GET    /strategy       current candidate-evaluation strategy
-//	POST   /strategy       switch it at runtime ({"strategy":"lazy"})
 //	GET    /healthz        liveness + current slot
 //
 // Graceful shutdown: Server.Shutdown refuses new submissions (503 with
@@ -62,8 +60,10 @@ type Options struct {
 	// NoRetention makes finished records evict at the next sweep instead
 	// of being retained for polling.
 	NoRetention bool
-	// Strategy is the engine's configured selection strategy, mirrored
-	// for display by /metrics and /strategy.
+	// Strategy was the engine's selection strategy, mirrored for display.
+	//
+	// Deprecated: the engine always runs lazy greedy; the field is
+	// ignored and will be removed.
 	Strategy ps.Strategy
 	// Logger receives structured request and query-lifecycle logs. Nil
 	// discards them.
@@ -118,12 +118,6 @@ type Server struct {
 	world  *ps.World
 	retain time.Duration
 	autoID atomic.Int64
-	// stratMu serializes POST /strategy so the engine switch and the
-	// display mirror below cannot interleave across two requests.
-	stratMu sync.Mutex
-	// strategy mirrors the engine's configured selection strategy for
-	// display; writes go through POST /strategy.
-	strategy atomic.Int32
 
 	log     *slog.Logger
 	obs     *serverObs
@@ -184,7 +178,6 @@ func New(eng *ps.Engine, world *ps.World, opts Options) *Server {
 		closing: make(chan struct{}),
 		queries: make(map[string]*queryRecord),
 	}
-	s.strategy.Store(int32(opts.Strategy))
 	s.adm = newAdmission(opts, eng.QueueStats)
 	s.adm.onEvict = func(client string) {
 		s.obs.watchEvictions.Inc()
@@ -203,8 +196,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /query/{id}", s.handleCancel)
 	mux.HandleFunc("GET /queries", s.handleList)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /strategy", s.handleGetStrategy)
-	mux.HandleFunc("POST /strategy", s.handleSetStrategy)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	if s.debug {
 		// pprof.Index serves the whole /debug/pprof/ subtree (heap,
@@ -994,48 +985,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	m := wire.MetricsFrom(s.eng.Metrics(), ps.Strategy(s.strategy.Load()).String())
+	m := wire.MetricsFrom(s.eng.Metrics())
 	w.Header().Set("Content-Type", "application/json")
 	writeJSON(w, m)
-}
-
-func (s *Server) handleGetStrategy(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, wire.StrategyBody{Strategy: ps.Strategy(s.strategy.Load()).String()})
-}
-
-// handleSetStrategy switches the candidate-evaluation strategy of the
-// live engine. Selections are bit-identical across strategies, so the
-// switch is safe mid-stream; it takes effect from the next slot.
-func (s *Server) handleSetStrategy(w http.ResponseWriter, r *http.Request) {
-	var req wire.StrategyBody
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
-		return
-	}
-	// ParseStrategy treats "" as auto; an absent field must not silently
-	// reset a live engine, so require an explicit name here.
-	if req.Strategy == "" {
-		httpError(w, http.StatusBadRequest, `missing "strategy" (want auto, serial, sharded, lazy or lazy-sharded)`)
-		return
-	}
-	strat, err := ps.ParseStrategy(req.Strategy)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.stratMu.Lock()
-	err = s.eng.SetGreedyStrategy(strat)
-	if err == nil {
-		s.strategy.Store(int32(strat))
-	}
-	s.stratMu.Unlock()
-	if err != nil {
-		httpErrorCoded(w, http.StatusServiceUnavailable, wire.ErrorCode(err), "set strategy: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, wire.StrategyBody{Strategy: strat.String(), Status: "ok"})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

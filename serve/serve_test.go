@@ -22,7 +22,7 @@ func newTestStack(t *testing.T, opts ...ps.Option) (*ps.Engine, *httptest.Server
 	world := ps.NewRWMWorld(1, 200, ps.SensorConfig{})
 	eng := ps.NewEngine(ps.NewAggregator(world, opts...))
 	eng.Start()
-	ts := httptest.NewServer(New(eng, world, Options{Strategy: ps.StrategyAuto}).Handler())
+	ts := httptest.NewServer(New(eng, world, Options{}).Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		eng.Stop()
@@ -345,10 +345,11 @@ func TestServeListQueries(t *testing.T) {
 }
 
 // TestServeStrategyAndSelectionMetrics drives a mixed slot through the
-// lazy strategy and checks that /metrics exposes the valuation-call and
-// lazy-heap counters, and that /strategy switches at runtime.
+// lazy greedy core and checks that /metrics exposes the valuation-call
+// and lazy-heap counters, and that selection has no runtime strategy
+// switch: /strategy is not a route and metrics carry no strategy label.
 func TestServeStrategyAndSelectionMetrics(t *testing.T) {
-	eng, ts := newTestStack(t, ps.WithGreedyStrategy(ps.StrategyLazy))
+	eng, ts := newTestStack(t)
 
 	// An aggregate query routes the slot through the greedy mix pipeline.
 	status, _ := postJSON(t, ts.URL+"/query", map[string]any{
@@ -372,32 +373,30 @@ func TestServeStrategyAndSelectionMetrics(t *testing.T) {
 	if m["valuation_calls"].(float64) <= 0 {
 		t.Errorf("valuation_calls = %v, want > 0", m["valuation_calls"])
 	}
-	if m["strategy_last_slot"] != "lazy" {
-		t.Errorf("strategy_last_slot = %v, want lazy", m["strategy_last_slot"])
-	}
 	for _, key := range []string{"valuation_calls_saved", "lazy_reevaluations", "submodularity_violations", "fallback_rescans"} {
 		if _, ok := m[key].(float64); !ok {
 			t.Errorf("metrics missing %s: %v", key, m[key])
 		}
 	}
 
-	// Runtime strategy switch: reported by GET /strategy and used by the
-	// next slot.
-	status, resp := postJSON(t, ts.URL+"/strategy", map[string]any{"strategy": "sharded"})
-	if status != http.StatusOK || resp["strategy"] != "sharded" {
-		t.Fatalf("set strategy: status %d resp %v", status, resp)
+	for _, key := range []string{"strategy", "strategy_last_slot"} {
+		if _, ok := m[key]; ok {
+			t.Errorf("metrics still carry %q", key)
+		}
 	}
-	status, resp = getJSON(t, ts.URL+"/strategy")
-	if status != http.StatusOK || resp["strategy"] != "sharded" {
-		t.Fatalf("get strategy: status %d resp %v", status, resp)
-	}
-	if status, _ := postJSON(t, ts.URL+"/strategy", map[string]any{"strategy": "nonsense"}); status != http.StatusBadRequest {
-		t.Errorf("bad strategy: status %d, want 400", status)
-	}
-	// A missing "strategy" field must not silently reset a live engine
-	// to auto.
-	if status, _ := postJSON(t, ts.URL+"/strategy", map[string]any{}); status != http.StatusBadRequest {
-		t.Errorf("empty strategy: status %d, want 400", status)
+	for _, method := range []string{http.MethodGet, http.MethodPost} {
+		req, err := http.NewRequest(method, ts.URL+"/strategy", strings.NewReader(`{"strategy":"lazy"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s /strategy: %v", method, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s /strategy: status %d, want 404", method, resp.StatusCode)
+		}
 	}
 }
 
@@ -761,7 +760,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	world := ps.NewRWMWorld(8, 200, ps.SensorConfig{})
 	eng := ps.NewEngine(ps.NewAggregator(world))
 	eng.Start()
-	srv := New(eng, world, Options{Strategy: ps.StrategyAuto})
+	srv := New(eng, world, Options{})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -946,7 +945,7 @@ func TestServeWatchOfRolledBackSubmission(t *testing.T) {
 	// queue, the second fails with ErrQueueFull after its registry
 	// reservation.
 	eng := ps.NewEngine(ps.NewAggregator(world), ps.WithQueueSize(1))
-	srv := New(eng, world, Options{Strategy: ps.StrategyAuto})
+	srv := New(eng, world, Options{})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()

@@ -154,8 +154,7 @@ type ShardedAggregator struct {
 
 // NewShardedAggregator builds a sharded execution layer over a world with
 // the given shard count. Options apply to every shard lane (and the
-// spanning lane), so WithGreedyStrategy selects every lane's default
-// strategy; SetShardStrategy overrides a single shard afterwards.
+// spanning lane).
 func NewShardedAggregator(world *World, shards int, opts ...Option) *ShardedAggregator {
 	part := geo.NewGridPartition(world.Working, shards)
 	sa := &ShardedAggregator{world: world, part: part}
@@ -169,16 +168,9 @@ func NewShardedAggregator(world *World, shards int, opts ...Option) *ShardedAggr
 	// pipeline (see the type comment): the baseline pipeline records no
 	// selection trace, so honoring WithBaselinePipeline here would make
 	// the reconciliation replay commit nothing while payments were still
-	// booked. Override it rather than corrupt results. Lanes left on
-	// StrategyAuto default to lazy-greedy: every strategy is bit-identical
-	// (the strategy-equivalence tests gate this), and CELF-style pruning
-	// is what keeps metro-scale lanes under the slot latency budget. An
-	// explicit WithGreedyStrategy/SetShardStrategy still wins.
+	// booked. Override it rather than corrupt results.
 	for _, a := range append(slices.Clone(sa.shards), sa.span) {
 		a.baseline = false
-		if a.greedy.Strategy == core.StrategyAuto {
-			a.greedy.Strategy = core.StrategyLazy
-		}
 	}
 	sa.lanes = make([]LaneRunner, n)
 	for k := range sa.lanes {
@@ -235,20 +227,6 @@ func (sa *ShardedAggregator) SelectionStats() SelectionStats { return sa.selStat
 // is the spanning pass.
 func (sa *ShardedAggregator) ShardStats() []ShardStats {
 	return slices.Clone(sa.stats)
-}
-
-// SetGreedyStrategy switches every lane's candidate-evaluation strategy.
-func (sa *ShardedAggregator) SetGreedyStrategy(s Strategy) {
-	for _, l := range sa.lanes {
-		l.SetStrategy(s)
-	}
-	sa.span.SetGreedyStrategy(s)
-}
-
-// SetShardStrategy switches a single shard's strategy, so hot shards can
-// run the lazy fast path while cold ones stay serial.
-func (sa *ShardedAggregator) SetShardStrategy(shard int, s Strategy) {
-	sa.lanes[shard].SetStrategy(s)
 }
 
 // NextSlot returns the slot number the next RunSlot call will execute.

@@ -3,6 +3,7 @@ package ps
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -38,8 +39,20 @@ func (p submitPair) submit(spec Spec) {
 // TestShardedGoldenEquivalence: on a fixed-seed RWM workload of six query
 // kinds, all resident in one of four shards, the sharded execution layer
 // produces SlotReports bit-identical (exact float equality on welfare,
-// values and payments) to the unsharded Aggregator.
+// values and payments) to the unsharded Aggregator. GOMAXPROCS is an
+// input: shard-lane fan-out is the only selection code that depends on
+// it (lanes run in turn at 1, concurrently above), and the reports must
+// not.
 func TestShardedGoldenEquivalence(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			shardedGoldenEquivalence(t)
+		})
+	}
+}
+
+func shardedGoldenEquivalence(t *testing.T) {
 	const seed, sensors, slots = 21, 220, 8
 	pair := submitPair{
 		t:       t,

@@ -128,10 +128,9 @@ type SubmittedQuery struct {
 func (s SubmittedQuery) Underlying() any { return s.query }
 
 // Submit validates a spec against the aggregator's world and registers
-// the described query for the upcoming slots. It is the single entry
-// point subsuming the per-kind Submit* methods; like them it must be
-// called by the goroutine owning the aggregator (under an Engine, use
-// Engine.Submit instead).
+// the described query for the upcoming slots. It must be called by the
+// goroutine owning the aggregator (under an Engine, use Engine.Submit
+// instead).
 func (a *Aggregator) Submit(spec Spec) (SubmittedQuery, error) {
 	if isNilSpec(spec) {
 		return SubmittedQuery{}, errNilSpec

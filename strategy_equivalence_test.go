@@ -7,11 +7,24 @@ import (
 	"repro/internal/rng"
 )
 
-// strategiesUnderTest are the candidate-evaluation strategies whose
-// SlotReports must be bit-identical to the serial scan's. Serial is the
-// reference; auto resolves to serial or sharded by instance size.
-var strategiesUnderTest = []Strategy{
-	StrategySharded, StrategyLazy, StrategyLazySharded,
+// newOracle builds an aggregator whose Algorithm 1 runs the exhaustive
+// scan: the reference the lazy production path must match bit for bit.
+func newOracle(w *World) *Aggregator {
+	a := NewAggregator(w)
+	a.exhaustive = true
+	return a
+}
+
+// requireOracleRan fails unless the reference aggregator really ran the
+// exhaustive scan: it makes exactly the calls its accounting model
+// predicts, while the lazy aggregator makes fewer.
+func requireOracleRan(t *testing.T, ref, lazy *Aggregator) {
+	t.Helper()
+	rs, ls := ref.SelectionStats(), lazy.SelectionStats()
+	if rs.ValuationCalls != rs.SerialEquivCalls || ls.ValuationCalls >= rs.ValuationCalls {
+		t.Fatalf("oracle made %d of %d exhaustive calls, lazy made %d: the oracle hook is not in effect",
+			rs.ValuationCalls, rs.SerialEquivCalls, ls.ValuationCalls)
+	}
 }
 
 // submitAll submits one spec to every aggregator in the slice.
@@ -27,25 +40,20 @@ func submitAll(t *testing.T, aggs []*Aggregator, spec Spec) {
 // TestStrategyEquivalenceAllQueryKinds drives seven of the eight query
 // kinds (everything except region monitoring, which needs a GP-modelled
 // world — see the IntelLab companion test below) through full
-// Aggregator pipelines on seeded random worlds, one aggregator per
-// strategy, and requires every slot report to be bit-identical to the
-// serial scan's: same welfare, per-query values and payments to the
-// last float bit. This is the end-to-end counterpart of the
-// internal/core strategy tests — it additionally exercises probe
+// Aggregator pipelines on seeded random worlds — the lazy production
+// path and the exhaustive oracle — and requires every slot report to be
+// bit-identical to the oracle's: same welfare, per-query values and
+// payments to the last float bit. This is the end-to-end counterpart of
+// the internal/core strategy tests — it additionally exercises probe
 // generation, continuous-query bookkeeping, event detection and the
 // accounting loops that consume the selection results.
 func TestStrategyEquivalenceAllQueryKinds(t *testing.T) {
 	const sensors, slots = 300, 6
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			ref := NewAggregator(NewRWMWorld(seed, sensors, SensorConfig{}),
-				WithGreedyStrategy(StrategySerial))
-			var others []*Aggregator
-			for _, strat := range strategiesUnderTest {
-				others = append(others, NewAggregator(NewRWMWorld(seed, sensors, SensorConfig{}),
-					WithGreedyStrategy(strat)))
-			}
-			all := append([]*Aggregator{ref}, others...)
+			ref := newOracle(NewRWMWorld(seed, sensors, SensorConfig{}))
+			lazy := NewAggregator(NewRWMWorld(seed, sensors, SensorConfig{}))
+			all := []*Aggregator{ref, lazy}
 			s := rng.New(seed, "strategy-equivalence")
 			w := ref.world.Working
 
@@ -105,33 +113,27 @@ func TestStrategyEquivalenceAllQueryKinds(t *testing.T) {
 				})
 
 				want := snapshot(ref.RunSlot())
-				for oi, other := range others {
-					got := snapshot(other.RunSlot())
-					t.Run(fmt.Sprintf("slot%d-%s", slot, strategiesUnderTest[oi]), func(t *testing.T) {
-						requireIdentical(t, slot, want, got)
-					})
-				}
+				got := snapshot(lazy.RunSlot())
+				t.Run(fmt.Sprintf("slot%d-lazy", slot), func(t *testing.T) {
+					requireIdentical(t, slot, want, got)
+				})
 			}
+			requireOracleRan(t, ref, lazy)
 		})
 	}
 }
 
 // TestStrategyEquivalenceRegionMonitoring covers the eighth kind: region
 // monitoring runs on the IntelLab world (the only built-in world with a
-// fitted GP model) and exercises the rank-1 base-posterior cache under
-// every strategy — appends and rebuilds must not perturb selections.
+// fitted GP model) and exercises the rank-1 base-posterior cache on
+// both paths — appends and rebuilds must not perturb selections.
 func TestStrategyEquivalenceRegionMonitoring(t *testing.T) {
 	const slots = 6
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			ref := NewAggregator(NewIntelLabWorld(seed, SensorConfig{}),
-				WithGreedyStrategy(StrategySerial))
-			var others []*Aggregator
-			for _, strat := range strategiesUnderTest {
-				others = append(others, NewAggregator(NewIntelLabWorld(seed, SensorConfig{}),
-					WithGreedyStrategy(strat)))
-			}
-			all := append([]*Aggregator{ref}, others...)
+			ref := newOracle(NewIntelLabWorld(seed, SensorConfig{}))
+			lazy := NewAggregator(NewIntelLabWorld(seed, SensorConfig{}))
+			all := []*Aggregator{ref, lazy}
 			s := rng.New(seed, "strategy-equivalence-regmon")
 			w := ref.world.Working
 
@@ -152,13 +154,12 @@ func TestStrategyEquivalenceRegionMonitoring(t *testing.T) {
 					})
 				}
 				want := snapshot(ref.RunSlot())
-				for oi, other := range others {
-					got := snapshot(other.RunSlot())
-					t.Run(fmt.Sprintf("slot%d-%s", slot, strategiesUnderTest[oi]), func(t *testing.T) {
-						requireIdentical(t, slot, want, got)
-					})
-				}
+				got := snapshot(lazy.RunSlot())
+				t.Run(fmt.Sprintf("slot%d-lazy", slot), func(t *testing.T) {
+					requireIdentical(t, slot, want, got)
+				})
 			}
+			requireOracleRan(t, ref, lazy)
 		})
 	}
 }

@@ -30,19 +30,18 @@ import (
 const ClusterVersion = 1
 
 // Cluster frame type names. Request frames (coordinator -> node):
-// hello/resync configure or rebuild the node's lane, submit/cancel/
-// set_strategy manage queries, run_slot/commit drive the slot cycle,
+// hello/resync configure or rebuild the node's lane, submit/cancel
+// manage queries, run_slot/commit drive the slot cycle,
 // ping exchanges membership facts. Response frames (node -> coordinator):
 // ok, submitted, partial, error.
 const (
-	ClusterHello    = "hello"
-	ClusterResync   = "resync"
-	ClusterSubmit   = "submit"
-	ClusterCancel   = "cancel"
-	ClusterStrategy = "set_strategy"
-	ClusterRunSlot  = "run_slot"
-	ClusterCommit   = "commit"
-	ClusterPing     = "ping"
+	ClusterHello   = "hello"
+	ClusterResync  = "resync"
+	ClusterSubmit  = "submit"
+	ClusterCancel  = "cancel"
+	ClusterRunSlot = "run_slot"
+	ClusterCommit  = "commit"
+	ClusterPing    = "ping"
 
 	ClusterOK        = "ok"
 	ClusterSubmitted = "submitted"
@@ -52,14 +51,13 @@ const (
 
 // clusterTypes enumerates every valid ClusterFrame.Type value.
 var clusterTypes = map[string]bool{
-	ClusterHello:    true,
-	ClusterResync:   true,
-	ClusterSubmit:   true,
-	ClusterCancel:   true,
-	ClusterStrategy: true,
-	ClusterRunSlot:  true,
-	ClusterCommit:   true,
-	ClusterPing:     true,
+	ClusterHello:   true,
+	ClusterResync:  true,
+	ClusterSubmit:  true,
+	ClusterCancel:  true,
+	ClusterRunSlot: true,
+	ClusterCommit:  true,
+	ClusterPing:    true,
 
 	ClusterOK:        true,
 	ClusterSubmitted: true,
@@ -83,8 +81,6 @@ type NodeConfig struct {
 	// Shards and Shard select the node's slice of the grid partition.
 	Shards int `json:"shards"`
 	Shard  int `json:"shard"`
-	// Strategy optionally names the lane's selection strategy.
-	Strategy string `json:"strategy,omitempty"`
 }
 
 // Fact is one membership assertion with a time-to-live, exchanged on
@@ -105,14 +101,12 @@ type Fact struct {
 // replica steps and commits but skips execution, exactly the degraded
 // timeline the coordinator served).
 type ClusterOp struct {
-	// Op is "submit", "cancel", "strategy" or "slot".
+	// Op is "submit", "cancel" or "slot".
 	Op string `json:"op"`
 	// Spec is the v1 submission envelope (submit ops).
 	Spec json.RawMessage `json:"spec,omitempty"`
 	// ID names the canceled query (cancel ops).
 	ID string `json:"id,omitempty"`
-	// Strategy is the lane strategy to switch to (strategy ops).
-	Strategy string `json:"strategy,omitempty"`
 	// Slot, Selected and Ran describe one executed slot (slot ops):
 	// the slot number, the global commit in replay order, and whether
 	// this lane's partial made it into the merge.
@@ -140,7 +134,6 @@ type ClusterMember struct {
 //	resync        config, ops                     -> ok
 //	submit        spec                            -> submitted (id, kind, start, end)
 //	cancel        id                              -> ok (removed)
-//	set_strategy  strategy                        -> ok
 //	run_slot      slot                            -> partial (slot, partial)
 //	commit        slot, selected                  -> ok
 //	ping          facts                           -> ok (facts)
@@ -162,8 +155,6 @@ type ClusterFrame struct {
 	Kind   string          `json:"kind,omitempty"`
 	Start  int             `json:"start,omitempty"`
 	End    int             `json:"end,omitempty"`
-
-	Strategy string `json:"strategy,omitempty"`
 
 	Slot     int             `json:"slot"`
 	Selected []int           `json:"selected,omitempty"`
@@ -222,10 +213,6 @@ func DecodeClusterFrame(data []byte) (ClusterFrame, error) {
 		if f.ID == "" {
 			return ClusterFrame{}, errors.New(`wire: cancel frame without an "id"`)
 		}
-	case ClusterStrategy:
-		if f.Strategy == "" {
-			return ClusterFrame{}, errors.New(`wire: set_strategy frame without a "strategy"`)
-		}
 	case ClusterSubmitted:
 		if f.ID == "" {
 			return ClusterFrame{}, errors.New(`wire: submitted frame without an "id"`)
@@ -252,4 +239,4 @@ func DecodeClusterFrame(data []byte) (ClusterFrame, error) {
 var clusterWorlds = map[string]bool{"rwm": true, "rnc": true, "intellab": true}
 
 // clusterOpKinds enumerates the replayable oplog operations.
-var clusterOpKinds = map[string]bool{"submit": true, "cancel": true, "strategy": true, "slot": true}
+var clusterOpKinds = map[string]bool{"submit": true, "cancel": true, "slot": true}

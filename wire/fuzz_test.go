@@ -156,10 +156,10 @@ func TestFrameSeedsDecode(t *testing.T) {
 // frame type, the oplog shapes and the documented error cases.
 var clusterSeeds = []string{
 	`{"v":1,"type":"hello","seq":1,"epoch":1,"node":"n0","slot":0,"config":{"world":"rwm","seed":21,"sensors":220,"shards":4,"shard":0}}`,
-	`{"v":1,"type":"resync","seq":2,"epoch":2,"node":"n0","slot":0,"config":{"world":"intellab","seed":7,"shards":2,"shard":1,"strategy":"lazy"},"ops":[{"op":"submit","spec":{"v":1,"type":"point","id":"q1","loc":{"x":30,"y":30},"budget":15}},{"op":"cancel","id":"q2"},{"op":"strategy","strategy":"serial"},{"op":"slot","slot":0,"selected":[3,1,7],"ran":true},{"op":"slot","slot":1,"ran":false}]}`,
+	`{"v":1,"type":"resync","seq":2,"epoch":2,"node":"n0","slot":0,"config":{"world":"intellab","seed":7,"shards":2,"shard":1},"ops":[{"op":"submit","spec":{"v":1,"type":"point","id":"q1","loc":{"x":30,"y":30},"budget":15}},{"op":"cancel","id":"q2"},{"op":"slot","slot":0,"selected":[3,1,7],"ran":true},{"op":"slot","slot":1,"ran":false}]}`,
 	`{"v":1,"type":"submit","seq":3,"epoch":1,"slot":0,"spec":{"v":1,"type":"aggregate","id":"a","region":{"x0":20,"y0":20,"x1":40,"y1":40},"budget":250}}`,
 	`{"v":1,"type":"cancel","seq":4,"epoch":1,"slot":0,"id":"q1"}`,
-	`{"v":1,"type":"set_strategy","seq":5,"epoch":1,"slot":0,"strategy":"lazy"}`,
+	`{"v":1,"type":"ping","seq":5,"epoch":1,"slot":0}`,
 	`{"v":1,"type":"run_slot","seq":6,"epoch":1,"slot":3}`,
 	`{"v":1,"type":"commit","seq":7,"epoch":1,"slot":3,"selected":[5,2,9]}`,
 	`{"v":1,"type":"ping","seq":8,"epoch":1,"slot":0,"facts":[{"subject":"n0","attribute":"alive","value":"1","ttl_ms":1500}]}`,
@@ -169,6 +169,7 @@ var clusterSeeds = []string{
 	`{"v":1,"type":"error","seq":9,"epoch":2,"slot":0,"error":"ps: stale cluster epoch","code":"stale_epoch"}`,
 	`{"v":2,"type":"ping","seq":1,"epoch":1,"slot":0}`,                                                                       // wrong version
 	`{"v":1,"type":"warp","seq":1,"epoch":1,"slot":0}`,                                                                       // unknown type
+	`{"v":1,"type":"set_strategy","seq":5,"epoch":1,"slot":0,"strategy":"lazy"}`,                                             // retired type
 	`{"v":1,"type":"hello","seq":1,"epoch":1,"slot":0}`,                                                                      // missing config
 	`{"v":1,"type":"hello","seq":1,"epoch":1,"slot":0,"config":{"world":"moon","shards":1,"shard":0}}`,                       // unknown world
 	`{"v":1,"type":"hello","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","shards":2,"shard":2}}`,                        // shard out of range

@@ -14,11 +14,7 @@ import (
 // field fails the test instead of silently vanishing from /metrics
 // (which is exactly how the ResultsDelivered→EventsDelivered rename
 // nearly shipped as a silent drop).
-var wireParityExceptions = map[string]string{
-	// Every shard runs the engine-level strategy; the per-shard label
-	// would be N copies of the top-level "strategy" field.
-	"Shards[0].Selection.Strategy": "redundant with top-level strategy",
-}
+var wireParityExceptions = map[string]string{}
 
 // setLeaf assigns a non-zero value to a scalar leaf.
 func setLeaf(t *testing.T, v reflect.Value, path string) {
@@ -85,7 +81,7 @@ func TestEngineMetricsWireParity(t *testing.T) {
 		return m
 	}
 	marshal := func(m ps.EngineMetrics) string {
-		b, err := json.Marshal(MetricsFrom(m, "auto"))
+		b, err := json.Marshal(MetricsFrom(m))
 		if err != nil {
 			t.Fatal(err)
 		}
