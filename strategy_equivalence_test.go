@@ -27,8 +27,29 @@ func requireOracleRan(t *testing.T, ref, lazy *Aggregator) {
 	}
 }
 
-// submitAll submits one spec to every aggregator in the slice.
-func submitAll(t *testing.T, aggs []*Aggregator, spec Spec) {
+// requireShardLaneLazy fails unless the single-shard aggregator ran its
+// whole demand in the shard lane (the spanning lane stayed idle) and
+// that lane made fewer valuation calls than the exhaustive oracle.
+func requireShardLaneLazy(t *testing.T, ref *Aggregator, sharded *ShardedAggregator) {
+	t.Helper()
+	rs, ss := ref.SelectionStats(), sharded.SelectionStats()
+	if ss.ValuationCalls == 0 || ss.ValuationCalls >= rs.ValuationCalls {
+		t.Fatalf("shard lane made %d valuation calls, oracle %d: want the lazy path's saving",
+			ss.ValuationCalls, rs.ValuationCalls)
+	}
+	if span := sharded.ShardStats()[1]; !span.Spanning || span.Queries != 0 {
+		t.Fatalf("spanning lane = %+v, want idle", span)
+	}
+}
+
+// submitter is the Submit surface shared by Aggregator and
+// ShardedAggregator.
+type submitter interface {
+	Submit(Spec) (SubmittedQuery, error)
+}
+
+// submitAll submits one spec to every pipeline in the slice.
+func submitAll(t *testing.T, aggs []submitter, spec Spec) {
 	t.Helper()
 	for _, a := range aggs {
 		if _, err := a.Submit(spec); err != nil {
@@ -41,9 +62,11 @@ func submitAll(t *testing.T, aggs []*Aggregator, spec Spec) {
 // kinds (everything except region monitoring, which needs a GP-modelled
 // world — see the IntelLab companion test below) through full
 // Aggregator pipelines on seeded random worlds — the lazy production
-// path and the exhaustive oracle — and requires every slot report to be
-// bit-identical to the oracle's: same welfare, per-query values and
-// payments to the last float bit. This is the end-to-end counterpart of
+// path, the same path run as the lane of a single-shard
+// ShardedAggregator (the "lazy-sharded" subtests), and the exhaustive
+// oracle — and requires every slot report to be bit-identical to the
+// oracle's: same welfare, per-query values and payments to the last
+// float bit. This is the end-to-end counterpart of
 // the internal/core strategy tests — it additionally exercises probe
 // generation, continuous-query bookkeeping, event detection and the
 // accounting loops that consume the selection results.
@@ -53,7 +76,8 @@ func TestStrategyEquivalenceAllQueryKinds(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			ref := newOracle(NewRWMWorld(seed, sensors, SensorConfig{}))
 			lazy := NewAggregator(NewRWMWorld(seed, sensors, SensorConfig{}))
-			all := []*Aggregator{ref, lazy}
+			sharded := NewShardedAggregator(NewRWMWorld(seed, sensors, SensorConfig{}), 1)
+			all := []submitter{ref, lazy, sharded}
 			s := rng.New(seed, "strategy-equivalence")
 			w := ref.world.Working
 
@@ -117,8 +141,13 @@ func TestStrategyEquivalenceAllQueryKinds(t *testing.T) {
 				t.Run(fmt.Sprintf("slot%d-lazy", slot), func(t *testing.T) {
 					requireIdentical(t, slot, want, got)
 				})
+				gotSharded := snapshot(sharded.RunSlot())
+				t.Run(fmt.Sprintf("slot%d-lazy-sharded", slot), func(t *testing.T) {
+					requireIdentical(t, slot, want, gotSharded)
+				})
 			}
 			requireOracleRan(t, ref, lazy)
+			requireShardLaneLazy(t, ref, sharded)
 		})
 	}
 }
@@ -126,14 +155,16 @@ func TestStrategyEquivalenceAllQueryKinds(t *testing.T) {
 // TestStrategyEquivalenceRegionMonitoring covers the eighth kind: region
 // monitoring runs on the IntelLab world (the only built-in world with a
 // fitted GP model) and exercises the rank-1 base-posterior cache on
-// both paths — appends and rebuilds must not perturb selections.
+// the lazy path, unsharded and in a single-shard lane, and on the
+// oracle — appends and rebuilds must not perturb selections.
 func TestStrategyEquivalenceRegionMonitoring(t *testing.T) {
 	const slots = 6
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			ref := newOracle(NewIntelLabWorld(seed, SensorConfig{}))
 			lazy := NewAggregator(NewIntelLabWorld(seed, SensorConfig{}))
-			all := []*Aggregator{ref, lazy}
+			sharded := NewShardedAggregator(NewIntelLabWorld(seed, SensorConfig{}), 1)
+			all := []submitter{ref, lazy, sharded}
 			s := rng.New(seed, "strategy-equivalence-regmon")
 			w := ref.world.Working
 
@@ -158,8 +189,13 @@ func TestStrategyEquivalenceRegionMonitoring(t *testing.T) {
 				t.Run(fmt.Sprintf("slot%d-lazy", slot), func(t *testing.T) {
 					requireIdentical(t, slot, want, got)
 				})
+				gotSharded := snapshot(sharded.RunSlot())
+				t.Run(fmt.Sprintf("slot%d-lazy-sharded", slot), func(t *testing.T) {
+					requireIdentical(t, slot, want, gotSharded)
+				})
 			}
 			requireOracleRan(t, ref, lazy)
+			requireShardLaneLazy(t, ref, sharded)
 		})
 	}
 }
