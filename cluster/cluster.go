@@ -69,16 +69,19 @@ type Config struct {
 // instruments, so BindMetrics can re-home them onto a shared registry
 // without racing in-flight lanes.
 type clusterMetrics struct {
-	nodesLive       *obs.Gauge
-	nodesSuspect    *obs.Gauge
 	epochRejections *obs.Counter
 	partialRTT      *obs.Histogram
 }
 
-func newClusterMetrics(r *obs.Registry) *clusterMetrics {
+// newClusterMetrics registers the coordinator's families on r. The
+// membership gauges read the fact table through stateOf at scrape time —
+// the same state Membership (and /healthz) reports.
+func newClusterMetrics(co *Coordinator, r *obs.Registry) *clusterMetrics {
+	r.GaugeFunc("ps_cluster_nodes_live", "Remote shard nodes with a fresh liveness fact.",
+		func() float64 { return co.nodesIn("live") })
+	r.GaugeFunc("ps_cluster_nodes_suspect", "Remote shard nodes whose liveness fact has expired but not yet aged out.",
+		func() float64 { return co.nodesIn("suspect") })
 	return &clusterMetrics{
-		nodesLive:       r.Gauge("ps_cluster_nodes_live", "Remote shard nodes with a fresh liveness fact."),
-		nodesSuspect:    r.Gauge("ps_cluster_nodes_suspect", "Remote shard nodes whose liveness fact has expired but not yet aged out."),
 		epochRejections: r.Counter("ps_cluster_epoch_rejections_total", "Cluster frames discarded by epoch fencing (stale node generations)."),
 		partialRTT:      r.Histogram("ps_cluster_partial_rtt_seconds", "Round-trip time of run_slot partial exchanges per lane.", nil),
 	}
@@ -139,7 +142,7 @@ func New(cfg Config) (*Coordinator, error) {
 		factTTL:    cfg.FactTTL,
 		stop:       make(chan struct{}),
 	}
-	co.m.Store(newClusterMetrics(obs.NewRegistry()))
+	co.m.Store(newClusterMetrics(co, obs.NewRegistry()))
 	for k, addr := range cfg.Nodes {
 		if addr == "" {
 			continue
@@ -171,9 +174,11 @@ func (co *Coordinator) World() *ps.World { return co.world }
 
 // BindMetrics re-homes the cluster gauges/counters onto reg (typically an
 // engine's observability registry, so /metrics serves them). Counts
-// recorded on the previous registry are not migrated.
+// recorded on the previous registry are not migrated. Bind a registry at
+// most once: the membership gauges are func families, which panic on
+// re-registration.
 func (co *Coordinator) BindMetrics(reg *obs.Registry) {
-	co.m.Store(newClusterMetrics(reg))
+	co.m.Store(newClusterMetrics(co, reg))
 }
 
 func (co *Coordinator) metrics() *clusterMetrics { return co.m.Load() }
@@ -209,24 +214,23 @@ func (co *Coordinator) stateOf(l *networkLane, now time.Time) string {
 	}
 }
 
-// sweep is the pre-slot membership pass: expire facts past their grace
-// window and publish the live/suspect gauges. Its wall time shows up as
-// the slot trace's membership stage.
-func (co *Coordinator) sweep() {
+// nodesIn counts the remote lanes currently in the given membership
+// state.
+func (co *Coordinator) nodesIn(state string) float64 {
 	now := time.Now()
-	live, suspect := 0, 0
+	n := 0
 	for _, l := range co.lanes {
-		switch co.stateOf(l, now) {
-		case "live":
-			live++
-		case "suspect":
-			suspect++
+		if co.stateOf(l, now) == state {
+			n++
 		}
 	}
-	m := co.metrics()
-	m.nodesLive.Set(float64(live))
-	m.nodesSuspect.Set(float64(suspect))
-	co.facts.prune(now, 2*co.factTTL)
+	return float64(n)
+}
+
+// sweep is the pre-slot membership pass: expire facts past their grace
+// window. Its wall time shows up as the slot trace's membership stage.
+func (co *Coordinator) sweep() {
+	co.facts.prune(time.Now(), 2*co.factTTL)
 }
 
 // Membership reports every shard's row: in-process lanes as "local",

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -309,6 +311,82 @@ func TestClusterStaleEpochFencing(t *testing.T) {
 	if len(m) != 1 || m[0].State != "live" || m[0].Epoch != 2 {
 		t.Fatalf("membership after refence = %+v, want live at epoch 2", m)
 	}
+}
+
+// TestClusterMembershipGauges: the live/suspect gauges render the same
+// fact-table state Membership (and /healthz) reports, from the moment
+// the cluster forms — before any slot has run its membership sweep —
+// and follow a node whose liveness fact goes stale.
+func TestClusterMembershipGauges(t *testing.T) {
+	co, err := cluster.New(cluster.Config{
+		World: "rwm", Seed: 5, Sensors: 60, Shards: 2,
+		Nodes: startNodes(t, 2), RPCTimeout: 30 * time.Second, FactTTL: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	reg := obs.NewRegistry()
+	co.BindMetrics(reg)
+
+	type counts struct{ live, suspect float64 }
+	fromMembership := func() counts {
+		var c counts
+		for _, m := range co.Membership() {
+			switch m.State {
+			case "live":
+				c.live++
+			case "suspect":
+				c.suspect++
+			}
+		}
+		return c
+	}
+	// agree scrapes between two Membership reads, retrying if a state
+	// changed in between, and returns the agreed counts.
+	agree := func(when string) counts {
+		t.Helper()
+		for {
+			before := fromMembership()
+			var b strings.Builder
+			if err := reg.WritePrometheus(&b); err != nil {
+				t.Fatal(err)
+			}
+			if fromMembership() != before {
+				continue
+			}
+			var got counts
+			for _, line := range strings.Split(b.String(), "\n") {
+				name, val, _ := strings.Cut(line, " ")
+				v, _ := strconv.ParseFloat(val, 64)
+				switch name {
+				case "ps_cluster_nodes_live":
+					got.live = v
+				case "ps_cluster_nodes_suspect":
+					got.suspect = v
+				}
+			}
+			if got != before {
+				t.Fatalf("%s: gauges %+v, Membership %+v", when, got, before)
+			}
+			return got
+		}
+	}
+
+	if c := agree("before any slot"); c.live != 2 {
+		t.Fatalf("before any slot: %v live nodes, want 2", c.live)
+	}
+	// No heartbeat and no slot traffic: the liveness facts expire and
+	// the nodes turn suspect (then dead, if this goroutine sleeps past
+	// the suspect window; the gauges must follow either way).
+	deadline := time.Now().Add(10 * time.Second)
+	for fromMembership().live == 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("liveness facts never expired: %+v", co.Membership())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	agree("after the facts expired")
 }
 
 // TestClusterConfigValidation pins New's fail-fast checks.

@@ -90,12 +90,7 @@ func (h *QueryHandle) Cancel() error {
 			return // already expired, replaced, or canceled
 		}
 		e.agg.CancelQuery(h.id)
-		e.mu.Lock()
-		e.m.QueriesCanceled++
-		e.m.ActiveQueries = e.hub.liveCount()
-		e.mu.Unlock()
-		e.obs.queriesCanceled.Inc()
-		e.obs.queriesActive.Set(float64(e.hub.liveCount()))
+		e.count(&e.m.QueriesCanceled)
 	}))
 }
 
@@ -299,10 +294,10 @@ func newEngine(agg queryRuntime, opts []EngineOption) *Engine {
 		runner:     agg,
 		hub:        newHub(cfg.eventBuffer),
 		drainSlots: cfg.drainSlots,
-		obs:        newEngineObs(),
 		log:        cfg.logger,
 		stageIdx:   make(map[string]int),
 	}
+	e.obs = newEngineObs(e)
 	e.hub.obs = &e.obs.hub
 	lc := engine.Config{QueueSize: cfg.queueSize}
 	if cfg.blockOnFull {
@@ -354,6 +349,8 @@ func (e *Engine) Metrics() EngineMetrics {
 	m.Shards = append([]ShardStats(nil), e.m.Shards...)
 	m.SlotStages = append([]StageStats(nil), e.m.SlotStages...)
 	e.mu.Unlock()
+	m.ActiveQueries = e.hub.liveCount()
+	m.GapEvents = e.hub.gapCount()
 	m.Slots = s.Slots
 	m.QueueDepth = s.QueueDepth
 	m.QueueCap = s.QueueCap
@@ -363,13 +360,11 @@ func (e *Engine) Metrics() EngineMetrics {
 	return m
 }
 
-// countRejected accounts for a submission that never became a live query:
-// queue overflow, duplicate ID, or a registration error.
-func (e *Engine) countRejected() {
+// count increments one EngineMetrics counter under the metrics mutex.
+func (e *Engine) count(c *int64) {
 	e.mu.Lock()
-	e.m.QueriesRejected++
+	*c++
 	e.mu.Unlock()
-	e.obs.queriesRejected.Inc()
 }
 
 // timedIngest wraps a queued command so the time the loop spends
@@ -400,22 +395,17 @@ func (e *Engine) Submit(spec Spec) (*QueryHandle, error) {
 	err := e.loop.DoSheddable(e.timedIngest(func() {
 		if e.hub.live(id) {
 			h.fail(ErrDuplicateQueryID)
-			e.countRejected()
+			e.count(&e.m.QueriesRejected)
 			return
 		}
 		sq, err := e.agg.Submit(spec)
 		if err != nil {
 			h.fail(err)
-			e.countRejected()
+			e.count(&e.m.QueriesRejected)
 			return
 		}
 		e.hub.register(id, sq.Start, sq.End, h.sub, time.Now())
-		e.mu.Lock()
-		e.m.QueriesSubmitted++
-		e.m.ActiveQueries = e.hub.liveCount()
-		e.mu.Unlock()
-		e.obs.queriesSubmitted.Inc()
-		e.obs.queriesActive.Set(float64(e.hub.liveCount()))
+		e.count(&e.m.QueriesSubmitted)
 	}), func() {
 		// Shed by the overflow policy before the submission ran (see
 		// WithShedOldest): close the never-attached stream so the
@@ -423,13 +413,10 @@ func (e *Engine) Submit(spec Spec) (*QueryHandle, error) {
 		// the eviction. Runs on whichever goroutine's enqueue caused the
 		// shed; h.fail only takes hub.mu, safe off the loop goroutine.
 		h.fail(ErrShed)
-		e.mu.Lock()
-		e.m.QueriesShed++
-		e.mu.Unlock()
-		e.obs.queriesShed.Inc()
+		e.count(&e.m.QueriesShed)
 	})
 	if err != nil {
-		e.countRejected()
+		e.count(&e.m.QueriesRejected)
 		return nil, err
 	}
 	return h, nil
@@ -510,21 +497,17 @@ func (e *Engine) onSlot(rep *SlotReport, dur time.Duration) {
 	e.m.Starved += st.starved
 	e.m.EventsDelivered += st.delivered
 	e.m.EventsDropped += st.dropped
-	e.m.GapEvents = e.hub.gapCount()
-	e.m.ActiveQueries = st.active
 	e.accumulateStages(stages)
-	totalWelfare := e.m.TotalWelfare
 	e.mu.Unlock()
 
-	e.observeSlot(dur, rep, st, stages)
-	e.obs.welfare.Set(totalWelfare)
+	e.observeSlot(dur, st, stages)
 
 	if e.log != nil && e.log.Enabled(context.Background(), slog.LevelDebug) {
 		attrs := []any{
 			"slot", rep.Slot,
 			"welfare", rep.Welfare,
 			"sensors", rep.SensorsUsed,
-			"active", st.active,
+			"active", e.hub.liveCount(),
 			"duration", dur,
 		}
 		for _, sp := range stages {
@@ -542,7 +525,4 @@ func (e *Engine) drain(step func()) {
 		step()
 	}
 	e.hub.closeAll(ErrEngineStopped, time.Now())
-	e.mu.Lock()
-	e.m.ActiveQueries = 0
-	e.mu.Unlock()
 }

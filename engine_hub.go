@@ -226,7 +226,6 @@ func (s *Subscription) push(ev QueryEvent) (delivered, dropped int) {
 		}
 		s.hub.gapEvents++
 		if o := s.hub.obs; o != nil {
-			o.gapFrames.Inc()
 			o.evictionRun.Observe(float64(s.dropped))
 		}
 		delivered++
@@ -292,16 +291,17 @@ func (t *topic) detach(sub *Subscription) {
 // buffer operations, never by subscriber behavior.
 type hub struct {
 	buffer int
-	// gapEvents counts Gap frames emitted hub-wide (metrics).
-	gapEvents int64
 	// obs, when set, receives eviction and query-lifecycle observations
 	// (a couple of atomic ops each, recorded under mu).
 	obs *hubObs
 
-	// mu guards topics and all subscription/topic state. It is
-	// deliberately separate from the engine's metrics mutex.
+	// mu guards topics, gapEvents and all subscription/topic state. It
+	// is deliberately separate from the engine's metrics mutex.
 	mu     sync.Mutex
 	topics map[string]*topic
+	// gapEvents counts Gap frames emitted hub-wide; it is the store
+	// behind EngineMetrics.GapEvents and ps_hub_gap_frames_total.
+	gapEvents int64
 }
 
 func newHub(buffer int) *hub {
@@ -460,7 +460,6 @@ func (h *hub) publishSlot(rep *SlotReport, events map[string][]EventNotification
 			h.observeLifetime(t, at)
 		}
 	}
-	st.active = len(h.topics)
 	// Subscriber backlog after the fan-out: how many subscriptions are
 	// attached, the largest per-subscriber buffered backlog, and total
 	// occupancy — the hub-health gauges.
@@ -483,7 +482,6 @@ type slotDelivery struct {
 	delivered, dropped int64
 	answered, starved  int64
 	payments           float64
-	active             int
 	// Subscriber backlog at the end of the fan-out.
 	subscribers, maxLag, buffered, bufCap int
 }

@@ -3,6 +3,7 @@ package ps
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,11 +11,12 @@ import (
 )
 
 // TestEngineStress hammers one engine from many goroutines — submits of
-// every lifetime class, cancellations racing the slot clock, and metric
-// reads — across 500 fast virtual-clock slots, then asserts that Stop
-// does not deadlock and that every handle resolved to exactly one
-// terminal state (normal expiry with a Final result, cancellation,
-// duplicate rejection, or engine shutdown).
+// every lifetime class, cancellations racing the slot clock, metric
+// reads, and (from worker 0) Prometheus scrapes whose func families read
+// the engine's state while onSlot writes it — across 500 fast
+// virtual-clock slots, then asserts that Stop does not deadlock and that
+// every handle resolved to exactly one terminal state (normal expiry with
+// a Final result, cancellation, duplicate rejection, or engine shutdown).
 func TestEngineStress(t *testing.T) {
 	const workers = 8
 	slots := 500
@@ -82,6 +84,11 @@ func TestEngineStress(t *testing.T) {
 					// is fine — Cancel must stay a no-op then.
 					if err := h.Cancel(); err != nil && !errors.Is(err, ErrEngineStopped) {
 						t.Errorf("worker %d: cancel: %v", w, err)
+					}
+				}
+				if w == 0 {
+					if err := eng.Observability().WritePrometheus(io.Discard); err != nil {
+						t.Errorf("scrape: %v", err)
 					}
 				}
 				if i%11 == 5 {

@@ -40,6 +40,8 @@ var obsConstructors = map[string]struct {
 	"CounterVec":   {obs.KindCounter, 2},
 	"GaugeVec":     {obs.KindGauge, 2},
 	"HistogramVec": {obs.KindHistogram, 3},
+	"CounterFunc":  {obs.KindCounter, -1},
+	"GaugeFunc":    {obs.KindGauge, -1},
 }
 
 const obsPkgPath = "repro/internal/obs"

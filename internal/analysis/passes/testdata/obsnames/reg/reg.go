@@ -20,6 +20,8 @@ func register(r *obs.Registry) {
 	r.CounterVec("ps_http_total", "good", "route", "method")
 	r.CounterVec("ps_rpc_total", "h", "route", "__reserved") // want "invalid label name \"__reserved\""
 	r.HistogramVec("ps_rpc_seconds", "h", nil, "Route")      // want "invalid label name \"Route\""
+	r.CounterFunc("ps_owned_total", "good", nil)
+	r.GaugeFunc("ps_owned_total", "h", nil) // want "gauge with _total suffix"
 }
 
 // computed names cannot be checked statically; Registry.Validate (and

@@ -14,6 +14,10 @@
 // without coordinating initialization order. A name collision with a
 // different kind or label set panics — that is a programming error, not
 // a runtime condition.
+//
+// CounterFunc and GaugeFunc register a family read from the struct that
+// owns the value at scrape time, so the value is stored once and the
+// exposition cannot drift from it.
 package obs
 
 import (
@@ -203,6 +207,10 @@ type family struct {
 
 	mu       sync.Mutex
 	children map[string]any // Counter / Gauge / Histogram keyed by joined label values
+
+	// fn, when set, makes this a func-backed family: no children, and
+	// its one label-less sample is read from fn at every scrape.
+	fn func() float64
 }
 
 // Registry holds metric families and renders them in the Prometheus
@@ -219,11 +227,15 @@ func NewRegistry() *Registry {
 }
 
 // lookup returns the family, creating it on first use and panicking on
-// a kind or label-set collision.
-func (r *Registry) lookup(name, help string, kind Kind, buckets []float64, labels []string) *family {
+// a kind or label-set collision. A non-nil fn registers a func-backed
+// family, whose name can never be registered again.
+func (r *Registry) lookup(name, help string, kind Kind, buckets []float64, labels []string, fn func() float64) *family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.families[name]; ok {
+		if f.fn != nil || fn != nil {
+			panic(fmt.Sprintf("obs: metric %q re-registered; a func-backed family has one owner", name))
+		}
 		if f.kind != kind {
 			panic(fmt.Sprintf("obs: metric %q re-registered as %v (was %v)", name, kind, f.kind))
 		}
@@ -239,6 +251,7 @@ func (r *Registry) lookup(name, help string, kind Kind, buckets []float64, label
 		labels:   append([]string(nil), labels...),
 		buckets:  append([]float64(nil), buckets...),
 		children: map[string]any{},
+		fn:       fn,
 	}
 	if kind == KindHistogram {
 		if len(f.buckets) == 0 {
@@ -283,18 +296,33 @@ func (f *family) child(values []string) any {
 
 // Counter returns (creating on first use) the named label-less counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	return r.lookup(name, help, KindCounter, nil, nil).child(nil).(*Counter)
+	return r.lookup(name, help, KindCounter, nil, nil, nil).child(nil).(*Counter)
 }
 
 // Gauge returns (creating on first use) the named label-less gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.lookup(name, help, KindGauge, nil, nil).child(nil).(*Gauge)
+	return r.lookup(name, help, KindGauge, nil, nil, nil).child(nil).(*Gauge)
 }
 
 // Histogram returns (creating on first use) the named label-less
 // histogram. Nil buckets default to DurationBuckets.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	return r.lookup(name, help, KindHistogram, buckets, nil).child(nil).(*Histogram)
+	return r.lookup(name, help, KindHistogram, buckets, nil, nil).child(nil).(*Histogram)
+}
+
+// CounterFunc registers a label-less counter whose value is read from fn
+// at every scrape. fn must be safe for concurrent use and never
+// decrease. A func family has exactly one owner: registering its name
+// again, as any kind, panics.
+func (r *Registry) CounterFunc(name, help string, fn func() float64) {
+	r.lookup(name, help, KindCounter, nil, nil, fn)
+}
+
+// GaugeFunc registers a label-less gauge whose value is read from fn at
+// every scrape. fn must be safe for concurrent use. Re-registering the
+// name, as any kind, panics.
+func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
+	r.lookup(name, help, KindGauge, nil, nil, fn)
 }
 
 // CounterVec is a counter family with labels.
@@ -303,7 +331,7 @@ type CounterVec struct{ f *family }
 // CounterVec returns (creating on first use) the named labeled counter
 // family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{r.lookup(name, help, KindCounter, nil, labels)}
+	return &CounterVec{r.lookup(name, help, KindCounter, nil, labels, nil)}
 }
 
 // With returns the child counter for the given label values (positional,
@@ -316,7 +344,7 @@ type GaugeVec struct{ f *family }
 // GaugeVec returns (creating on first use) the named labeled gauge
 // family.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.lookup(name, help, KindGauge, nil, labels)}
+	return &GaugeVec{r.lookup(name, help, KindGauge, nil, labels, nil)}
 }
 
 // With returns the child gauge for the given label values.
@@ -328,7 +356,7 @@ type HistogramVec struct{ f *family }
 // HistogramVec returns (creating on first use) the named labeled
 // histogram family. Nil buckets default to DurationBuckets.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	return &HistogramVec{r.lookup(name, help, KindHistogram, buckets, labels)}
+	return &HistogramVec{r.lookup(name, help, KindHistogram, buckets, labels, nil)}
 }
 
 // With returns the child histogram for the given label values.
@@ -357,6 +385,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 func (f *family) write(b *strings.Builder) {
+	if f.fn != nil {
+		f.writeHeader(b)
+		fmt.Fprintf(b, "%s %s\n", f.name, formatFloat(f.fn()))
+		return
+	}
 	f.mu.Lock()
 	keys := make([]string, 0, len(f.children))
 	for k := range f.children {
@@ -372,8 +405,7 @@ func (f *family) write(b *strings.Builder) {
 		return
 	}
 
-	fmt.Fprintf(b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-	fmt.Fprintf(b, "# TYPE %s %s\n", f.name, f.kind)
+	f.writeHeader(b)
 	for i, key := range keys {
 		var values []string
 		if key != "" || len(f.labels) > 0 {
@@ -398,6 +430,11 @@ func (f *family) write(b *strings.Builder) {
 			fmt.Fprintf(b, "%s_count%s %d\n", f.name, labelSet(f.labels, values, "", ""), c.count.Load())
 		}
 	}
+}
+
+func (f *family) writeHeader(b *strings.Builder) {
+	fmt.Fprintf(b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
+	fmt.Fprintf(b, "# TYPE %s %s\n", f.name, f.kind)
 }
 
 // labelSet renders {k="v",...}, appending the extra pair (used for a

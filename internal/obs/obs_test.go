@@ -180,6 +180,83 @@ func TestValidateNaming(t *testing.T) {
 	}
 }
 
+func TestFuncFamiliesReadAtScrape(t *testing.T) {
+	r := NewRegistry()
+	owned := 3.0
+	r.CounterFunc("ps_owned_total", "owned counter", func() float64 { return owned })
+	r.GaugeFunc("ps_owned_depth", "owned gauge", func() float64 { return -owned / 2 })
+	for _, want := range []string{
+		"# HELP ps_owned_total owned counter\n# TYPE ps_owned_total counter\nps_owned_total 3\n",
+		"# HELP ps_owned_depth owned gauge\n# TYPE ps_owned_depth gauge\nps_owned_depth -1.5\n",
+	} {
+		if out := expose(t, r); !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
+	}
+	owned = 10 // the owner changes; the next scrape reads the new value
+	if out := expose(t, r); !strings.Contains(out, "ps_owned_total 10\n") ||
+		!strings.Contains(out, "ps_owned_depth -5\n") {
+		t.Errorf("func families not re-read at scrape:\n%s", out)
+	}
+}
+
+func TestValidateCoversFuncFamilies(t *testing.T) {
+	zero := func() float64 { return 0 }
+	r := NewRegistry()
+	r.CounterFunc("ps_owned", "counter without _total", zero)
+	r.GaugeFunc("owned_depth", "no prefix", zero)
+	r.GaugeFunc("ps_owned_total", "gauge with _total", zero)
+	err := r.Validate()
+	if err == nil {
+		t.Fatal("violations not reported")
+	}
+	for _, want := range []string{
+		"ps_owned: counter without _total",
+		"owned_depth: missing ps_ prefix",
+		"ps_owned_total: gauge with _total",
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("missing violation %q in:\n%v", want, err)
+		}
+	}
+}
+
+// A func family has one owner: registering its name again as any kind —
+// func or native — panics, and so does a func over a native family.
+func TestFuncFamilyNameCollisionsPanic(t *testing.T) {
+	zero := func() float64 { return 0 }
+	const name = "ps_owned_total"
+	registrars := map[string]func(*Registry){
+		"Counter":      func(r *Registry) { r.Counter(name, "h") },
+		"Gauge":        func(r *Registry) { r.Gauge(name, "h") },
+		"Histogram":    func(r *Registry) { r.Histogram(name, "h", nil) },
+		"CounterVec":   func(r *Registry) { r.CounterVec(name, "h", "l") },
+		"GaugeVec":     func(r *Registry) { r.GaugeVec(name, "h", "l") },
+		"HistogramVec": func(r *Registry) { r.HistogramVec(name, "h", nil, "l") },
+		"CounterFunc":  func(r *Registry) { r.CounterFunc(name, "h", zero) },
+		"GaugeFunc":    func(r *Registry) { r.GaugeFunc(name, "h", zero) },
+	}
+	panics := func(f func()) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		f()
+		return false
+	}
+	for kind, register := range registrars {
+		for _, fn := range []string{"CounterFunc", "GaugeFunc"} {
+			r := NewRegistry()
+			registrars[fn](r)
+			if !panics(func() { register(r) }) {
+				t.Errorf("%s over a %s family did not panic", kind, fn)
+			}
+			r = NewRegistry()
+			register(r)
+			if !panics(func() { registrars[fn](r) }) {
+				t.Errorf("%s over a %s family did not panic", fn, kind)
+			}
+		}
+	}
+}
+
 func TestTrace(t *testing.T) {
 	tr := StartTrace()
 	time.Sleep(time.Millisecond)

@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -19,7 +20,7 @@ type StageTiming = obs.Span
 // engine wraps both with ingest and publish.
 const (
 	StageIngest      = "ingest"       // submissions/cancels drained between slots
-	StageMembership  = "membership"   // cluster: fact-TTL sweep, liveness gauges
+	StageMembership  = "membership"   // cluster: fact-TTL sweep
 	StageOfferGather = "offer_gather" // Fleet.Step: collecting sensor offers
 	StageRoute       = "route"        // sharded: routing offers to shards
 	StageSelection   = "selection"    // unsharded: the full selection pass
@@ -42,118 +43,101 @@ type StageStats struct {
 	Max   time.Duration
 }
 
-// engineObs bundles the engine's metric handles over one obs.Registry.
-// Counters and gauges are dual-written from onSlot (the same place the
-// EngineMetrics snapshot is maintained); histograms are observed
-// natively where the measurement happens.
+// engineObs bundles the engine's registry with the handles of the
+// values only the registry holds: the histograms, observed where the
+// measurement happens, and the hub backlog gauges, set at each slot
+// publish. A counter or gauge whose value EngineMetrics, the hub or the
+// ingest loop owns is a func family read from that owner at scrape
+// time, so each value is stored once and the exposition cannot disagree
+// with Engine.Metrics.
 type engineObs struct {
 	reg *obs.Registry
 
-	slots         *obs.Counter
 	slotDuration  *obs.Histogram
 	stageDuration *obs.HistogramVec
-
-	welfare     *obs.Gauge // cumulative; a gauge because per-slot welfare is not structurally non-negative
-	slotWelfare *obs.Gauge
-	payments    *obs.Counter
-	cost        *obs.Counter
-	sensorsUsed *obs.Counter
-
-	queriesSubmitted *obs.Counter
-	queriesRejected  *obs.Counter
-	queriesShed      *obs.Counter
-	queriesCanceled  *obs.Counter
-	queriesActive    *obs.Gauge
-	answered         *obs.Counter
-	starved          *obs.Counter
-
-	eventsDelivered *obs.Counter
-	eventsDropped   *obs.Counter
 
 	hubSubscribers *obs.Gauge
 	hubLag         *obs.Gauge
 	hubOccupancy   *obs.Gauge
 
-	valuationCalls *obs.Counter
-
-	queueDepth *obs.Gauge
-	queueCap   *obs.Gauge
-
 	hub hubObs
 }
 
 // hubObs is the slice of engineObs the hub touches directly: histograms
-// and counters observed at eviction and lifecycle boundaries, under
-// hub.mu (each observation is a couple of atomic ops).
+// observed at eviction and lifecycle boundaries, under hub.mu (each
+// observation is a couple of atomic ops).
 type hubObs struct {
-	gapFrames   *obs.Counter
 	evictionRun *obs.Histogram
 	firstUpdate *obs.Histogram
 	lifetime    *obs.Histogram
 }
 
-func newEngineObs() *engineObs {
+// newEngineObs registers the engine's families on a fresh registry. The
+// func families close over e and read it only at scrape time, after
+// newEngine has finished wiring it.
+func newEngineObs(e *Engine) *engineObs {
 	r := obs.NewRegistry()
-	o := &engineObs{
-		reg: r,
+	o := &engineObs{reg: r}
 
-		slots: r.Counter("ps_slots_total",
-			"Time slots executed."),
-		slotDuration: r.Histogram("ps_slot_duration_seconds",
-			"End-to-end slot execution latency.", nil),
-		stageDuration: r.HistogramVec("ps_slot_stage_duration_seconds",
-			"Per-stage slot latency breakdown (ingest, offer_gather, selection/shard passes, commit, accounting, publish).",
-			nil, "stage"),
+	r.CounterFunc("ps_slots_total", "Time slots executed.",
+		func() float64 { return float64(e.loop.Stats().Slots) })
+	o.slotDuration = r.Histogram("ps_slot_duration_seconds",
+		"End-to-end slot execution latency.", nil)
+	o.stageDuration = r.HistogramVec("ps_slot_stage_duration_seconds",
+		"Per-stage slot latency breakdown (ingest, offer_gather, selection/shard passes, commit, accounting, publish).",
+		nil, "stage")
 
-		welfare: r.Gauge("ps_welfare",
-			"Cumulative social welfare over all executed slots."),
-		slotWelfare: r.Gauge("ps_slot_welfare",
-			"Social welfare of the last executed slot."),
-		payments: r.Counter("ps_payments_total",
-			"Cumulative payments collected from queries."),
-		cost: r.Counter("ps_cost_total",
-			"Cumulative cost of acquired sensor readings."),
-		sensorsUsed: r.Counter("ps_sensors_used_total",
-			"Sensor readings acquired over all slots."),
+	// Cumulative welfare is a gauge: per-slot welfare is not
+	// structurally non-negative.
+	r.GaugeFunc("ps_welfare", "Cumulative social welfare over all executed slots.",
+		locked(&e.mu, &e.m.TotalWelfare))
+	r.GaugeFunc("ps_slot_welfare", "Social welfare of the last executed slot.",
+		locked(&e.mu, &e.m.LastWelfare))
+	r.CounterFunc("ps_payments_total", "Cumulative payments collected from queries.",
+		locked(&e.mu, &e.m.TotalPayments))
+	r.CounterFunc("ps_cost_total", "Cumulative cost of acquired sensor readings.",
+		locked(&e.mu, &e.m.TotalCost))
+	r.CounterFunc("ps_sensors_used_total", "Sensor readings acquired over all slots.",
+		locked(&e.mu, &e.m.SensorsUsed))
 
-		queriesSubmitted: r.Counter("ps_queries_submitted_total",
-			"Queries that became live."),
-		queriesRejected: r.Counter("ps_queries_rejected_total",
-			"Submissions rejected before going live (validation, duplicate ID, queue overflow)."),
-		queriesShed: r.Counter("ps_shed_total",
-			"Queued submissions evicted by the shed-oldest overflow policy to admit newer work."),
-		queriesCanceled: r.Counter("ps_queries_canceled_total",
-			"Live queries withdrawn by their issuer."),
-		queriesActive: r.Gauge("ps_queries_active",
-			"Currently live queries."),
-		answered: r.Counter("ps_results_answered_total",
-			"Per-(query, slot) results delivered with value or a satisfied sample."),
-		starved: r.Counter("ps_results_starved_total",
-			"Per-(query, slot) results delivered with nothing obtained."),
+	r.CounterFunc("ps_queries_submitted_total", "Queries that became live.",
+		locked(&e.mu, &e.m.QueriesSubmitted))
+	r.CounterFunc("ps_queries_rejected_total", "Submissions rejected before going live (validation, duplicate ID, queue overflow).",
+		locked(&e.mu, &e.m.QueriesRejected))
+	r.CounterFunc("ps_shed_total", "Queued submissions evicted by the shed-oldest overflow policy to admit newer work.",
+		locked(&e.mu, &e.m.QueriesShed))
+	r.CounterFunc("ps_queries_canceled_total", "Live queries withdrawn by their issuer.",
+		locked(&e.mu, &e.m.QueriesCanceled))
+	r.GaugeFunc("ps_queries_active", "Currently live queries.",
+		func() float64 { return float64(e.hub.liveCount()) })
+	r.CounterFunc("ps_results_answered_total", "Per-(query, slot) results delivered with value or a satisfied sample.",
+		locked(&e.mu, &e.m.Answered))
+	r.CounterFunc("ps_results_starved_total", "Per-(query, slot) results delivered with nothing obtained.",
+		locked(&e.mu, &e.m.Starved))
 
-		eventsDelivered: r.Counter("ps_events_delivered_total",
-			"Events handed to subscriber buffers."),
-		eventsDropped: r.Counter("ps_events_dropped_total",
-			"Events evicted from slow subscriber buffers."),
+	r.CounterFunc("ps_events_delivered_total", "Events handed to subscriber buffers.",
+		locked(&e.mu, &e.m.EventsDelivered))
+	r.CounterFunc("ps_events_dropped_total", "Events evicted from slow subscriber buffers.",
+		locked(&e.mu, &e.m.EventsDropped))
 
-		hubSubscribers: r.Gauge("ps_hub_subscribers",
-			"Attached subscriptions across all live topics."),
-		hubLag: r.Gauge("ps_hub_subscriber_lag_events",
-			"Largest per-subscriber buffered-event backlog observed at the last slot publish."),
-		hubOccupancy: r.Gauge("ps_hub_buffer_occupancy_ratio",
-			"Buffered events across all subscribers over total buffer capacity, at the last slot publish."),
+	o.hubSubscribers = r.Gauge("ps_hub_subscribers",
+		"Attached subscriptions across all live topics.")
+	o.hubLag = r.Gauge("ps_hub_subscriber_lag_events",
+		"Largest per-subscriber buffered-event backlog observed at the last slot publish.")
+	o.hubOccupancy = r.Gauge("ps_hub_buffer_occupancy_ratio",
+		"Buffered events across all subscribers over total buffer capacity, at the last slot publish.")
 
-		valuationCalls: r.Counter("ps_valuation_calls_total",
-			"Marginal-valuation evaluations made by the greedy selection core."),
+	r.CounterFunc("ps_valuation_calls_total", "Marginal-valuation evaluations made by the greedy selection core.",
+		locked(&e.mu, &e.m.ValuationCalls))
 
-		queueDepth: r.Gauge("ps_ingest_queue_depth",
-			"Commands waiting in the engine's bounded ingest queue."),
-		queueCap: r.Gauge("ps_ingest_queue_capacity",
-			"Capacity of the engine's ingest queue."),
-	}
+	r.GaugeFunc("ps_ingest_queue_depth", "Commands waiting in the engine's bounded ingest queue.",
+		func() float64 { return float64(e.loop.Stats().QueueDepth) })
+	r.GaugeFunc("ps_ingest_queue_capacity", "Capacity of the engine's ingest queue.",
+		func() float64 { return float64(e.loop.Stats().QueueCap) })
+
+	r.CounterFunc("ps_hub_gap_frames_total", "Gap frames emitted to slow subscribers.",
+		func() float64 { return float64(e.hub.gapCount()) })
 	o.hub = hubObs{
-		gapFrames: r.Counter("ps_hub_gap_frames_total",
-			"Gap frames emitted to slow subscribers."),
 		evictionRun: r.Histogram("ps_hub_eviction_run_size",
 			"Events summarized by one Gap frame (size of each eviction run).", obs.SizeBuckets),
 		firstUpdate: r.Histogram("ps_query_time_to_first_update_seconds",
@@ -164,6 +148,16 @@ func newEngineObs() *engineObs {
 	return o
 }
 
+// locked returns a scrape-time reader of one EngineMetrics field, read
+// under the engine's metrics mutex.
+func locked[T int64 | float64](mu *sync.Mutex, field *T) func() float64 {
+	return func() float64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return float64(*field)
+	}
+}
+
 // Observability returns the engine's metric registry — every counter,
 // gauge and histogram the engine, hub and aggregation layers record.
 // The serve layer renders it at GET /metrics (Prometheus text format)
@@ -171,32 +165,17 @@ func newEngineObs() *engineObs {
 // shared, not a snapshot; it is safe for concurrent use.
 func (e *Engine) Observability() *obs.Registry { return e.obs.reg }
 
-// observeSlot folds one executed slot into the registry and the
-// EngineMetrics stage accumulation. stages is the slot's full stage
-// list (ingest + aggregator trace + publish); the caller holds no lock.
-func (e *Engine) observeSlot(dur time.Duration, rep *SlotReport, st slotDelivery, stages []StageTiming) {
+// observeSlot records one executed slot's latency histograms and the
+// hub backlog gauges — the values no other struct holds. stages is the
+// slot's full stage list (ingest + aggregator trace + publish); the
+// caller holds no lock.
+func (e *Engine) observeSlot(dur time.Duration, st slotDelivery, stages []StageTiming) {
 	o := e.obs
-	o.slots.Inc()
 	o.slotDuration.Observe(dur.Seconds())
 	for _, s := range stages {
 		o.stageDuration.With(s.Stage).Observe(s.Duration.Seconds())
 	}
 
-	o.slotWelfare.Set(rep.Welfare)
-	if rep.TotalCost > 0 {
-		o.cost.Add(rep.TotalCost)
-	}
-	if st.payments > 0 {
-		o.payments.Add(st.payments)
-	}
-	o.sensorsUsed.Add(float64(rep.SensorsUsed))
-	o.answered.Add(float64(st.answered))
-	o.starved.Add(float64(st.starved))
-	o.eventsDelivered.Add(float64(st.delivered))
-	o.eventsDropped.Add(float64(st.dropped))
-	o.valuationCalls.Add(float64(rep.Selection.ValuationCalls))
-
-	o.queriesActive.Set(float64(st.active))
 	o.hubSubscribers.Set(float64(st.subscribers))
 	o.hubLag.Set(float64(st.maxLag))
 	if st.bufCap > 0 {
@@ -204,10 +183,6 @@ func (e *Engine) observeSlot(dur time.Duration, rep *SlotReport, st slotDelivery
 	} else {
 		o.hubOccupancy.Set(0)
 	}
-
-	ls := e.loop.Stats()
-	o.queueDepth.Set(float64(ls.QueueDepth))
-	o.queueCap.Set(float64(ls.QueueCap))
 }
 
 // accumulateStages folds a slot's stage trace into the running

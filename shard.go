@@ -199,8 +199,7 @@ func (sa *ShardedAggregator) SetLaneRunner(shard int, r LaneRunner) {
 
 // SetPreSlot registers a hook run at the top of every RunSlot, before the
 // fleet steps. The cluster coordinator uses it for the membership sweep
-// (fact-TTL expiry, liveness gauges); its wall time is traced as the
-// membership stage.
+// (fact-TTL expiry); its wall time is traced as the membership stage.
 func (sa *ShardedAggregator) SetPreSlot(f func()) { sa.preSlot = f }
 
 // sensorIdx lazily builds the fleet's sensor-by-ID index used to bind
